@@ -137,8 +137,8 @@
 //!
 //! `--threads N` runs the table-building algorithms (DHW, GHDW) on N worker
 //! threads; the output is identical to the sequential run. It defaults to
-//! the machine's available parallelism and is ignored by the single-pass
-//! heuristics.
+//! 1 (the sequential engine, so the engine never depends on the host's
+//! core count) and is ignored by the single-pass heuristics.
 //!
 //! DHW and GHDW use the structure-sharing engine (`natix_core::dag`: one
 //! DP run per distinct weighted subtree shape, dominance-pruned rows) by
@@ -153,8 +153,8 @@ use std::process::ExitCode;
 use natix_bench::Json;
 use natix_core::{
     dhw_cached_with_statistics, dhw_with_statistics, ghdw_cached_with_statistics,
-    ghdw_with_statistics, parallel, Bfs, CachedDhw, CachedGhdw, Dfs, Dhw, DpStats, Ekm, Ghdw, Km,
-    Lukes, ParallelDhw, ParallelGhdw, Partitioner, Rs,
+    ghdw_with_statistics, Bfs, CachedDhw, CachedGhdw, Dfs, Dhw, DpStats, Ekm, Ghdw, Km, Lukes,
+    ParallelDhw, ParallelGhdw, Partitioner, Rs,
 };
 use natix_server::{
     serve as serve_daemon, Client, ClientError, ProtoError, Request, ResponseBody, ServeConfig,
@@ -264,7 +264,7 @@ fn usage() -> ExitCode {
          fsck | update '<xpath>' <append-element|append-text|insert-before|delete> [VALUE] | \
          shed-probe [--pins N] | promote | shutdown   (all: [--retries N])\n\
          algorithms: ekm (default), dhw, ghdw, km, rs, dfs, bfs, lukes\n\
-         --threads N parallelizes dhw/ghdw (default: available parallelism)\n\
+         --threads N parallelizes dhw/ghdw (default: 1, sequential)\n\
          --no-dag-cache disables the structure-sharing engine for dhw/ghdw\n\
          --stats prints DP cache and dominance-pruning counters (dhw/ghdw)\n\
          --pool-pages N caps the buffer pool at N 8 KB pages (default 8192)"
@@ -347,7 +347,9 @@ fn store_config(pool_pages: Option<usize>) -> StoreConfig {
 fn parse_flags(rest: &[String]) -> Result<Flags, String> {
     let mut alg_name = String::from("ekm");
     let mut k = 256;
-    let mut threads = parallel::default_threads();
+    // Sequential by default: the shape-cached engine is the fastest one
+    // measured, and the engine (and its label) must not depend on the host.
+    let mut threads = 1;
     let mut dag_cache = true;
     let mut stats = false;
     let (pool_pages, rest) = extract_pool_pages(rest)?;

@@ -89,6 +89,58 @@ fn no_dag_cache_escape_hatch_is_identical() {
 }
 
 #[test]
+fn thread_count_changes_only_the_engine_label() {
+    // Far above the 4096-node sequential cutoff, so `--threads 2` really
+    // runs the parallel scheduler.
+    let mut doc = String::from("<site>");
+    for g in 0..300 {
+        doc.push_str(&format!("<region id=\"r{g}\">"));
+        for i in 0..9 {
+            doc.push_str(&format!(
+                "<item cat=\"c{}\"><name>item {g} {i}</name><qty>{}</qty></item>",
+                i % 4,
+                i * 3
+            ));
+        }
+        doc.push_str("</region>");
+    }
+    doc.push_str("</site>");
+    let dir = tmpdir();
+    let xml = dir.join("threads.xml");
+    std::fs::write(&xml, doc).unwrap();
+    let path = xml.to_str().unwrap();
+    let run = |threads: &str| {
+        let out = natix(&[
+            "partition",
+            path,
+            "--alg",
+            "dhw",
+            "--k",
+            "64",
+            "--threads",
+            threads,
+        ]);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let (one, two) = (run("1"), run("2"));
+    assert!(one.contains("algorithm  : DHW-C (K = 64)"), "{one}");
+    assert!(two.contains("algorithm  : DHW-P (K = 64)"), "{two}");
+    let strip = |s: &str| -> Vec<String> {
+        s.lines()
+            .filter(|l| !l.starts_with("algorithm"))
+            .map(|l| l.to_string())
+            .collect()
+    };
+    assert_eq!(strip(&one), strip(&two));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn partition_stats_prints_cache_counters() {
     let dir = tmpdir();
     let xml = dir.join("lib.xml");

@@ -874,6 +874,9 @@ fn bad_request(epoch: u64, message: String) -> Response {
 /// counted but not rendered (the count field is always exact).
 const MAX_QUERY_LINES: usize = 10_000;
 
+/// Answer one request. Verbs both roles serve alike — `Ping`, `End`,
+/// `Shutdown` and the reads `Query` and `Dump` — are answered here once;
+/// the rest go to the role's own dispatcher.
 #[allow(clippy::too_many_arguments)]
 fn handle_request(
     role: &mut Role,
@@ -884,67 +887,181 @@ fn handle_request(
     conn: u64,
     req: Request,
 ) -> Response {
-    match role {
-        Role::Primary {
-            shared,
-            repl,
-            fence,
-        } => {
-            let committed = shared.committed_epoch();
-            match req {
-                Request::ReplSubscribe { last_epoch } => {
-                    repl.subscribe(conn, last_epoch);
-                    Response {
-                        epoch: committed,
-                        body: ResponseBody::ReplSubscribed,
-                    }
-                }
-                Request::ReplFetch { after_epoch, seq } => {
-                    match repl.fetch(committed, after_epoch, seq) {
-                        Ok(part) => Response {
-                            epoch: committed,
-                            body: ResponseBody::ReplBatchPart {
-                                payload: part.unwrap_or_default(),
-                            },
-                        },
-                        Err(e) => store_error_response(committed, &e),
-                    }
-                }
-                Request::ReplAck { epoch } => {
-                    repl.ack(conn, epoch);
-                    Response {
-                        epoch: committed,
-                        body: ResponseBody::ReplAckOk,
-                    }
-                }
-                // A promoted follower answers a deposed primary's pushes
-                // with its fencing epoch; a never-promoted primary was
-                // simply addressed wrongly.
-                Request::ReplApply { .. } => match *fence {
-                    Some(at) => Response {
-                        epoch: at,
-                        body: ResponseBody::Error {
-                            kind: ErrKind::Fenced,
-                            message: format!("fenced at epoch {at}: this store was promoted"),
-                        },
-                    },
-                    None => bad_request(committed, "not a replica".to_string()),
-                },
-                Request::ReplPromote => bad_request(committed, "already a primary".to_string()),
-                other => {
-                    handle_primary_request(shared, repl, sessions, expired, counters, conn, other)
-                }
+    let epoch = match role {
+        Role::Primary { shared, .. } => shared.committed_epoch(),
+        Role::Replica { follower, .. } => follower.epoch(),
+    };
+    let replication = matches!(
+        req,
+        Request::ReplSubscribe { .. }
+            | Request::ReplFetch { .. }
+            | Request::ReplAck { .. }
+            | Request::ReplApply { .. }
+            | Request::ReplPromote
+    );
+    // Session leases (only a primary pins): a session the reaper expired
+    // is told so exactly once; `begin` (re-pin) and `end` (already
+    // released) proceed normally so the recovery path is never itself
+    // refused. Any request on a pinned session renews its lease.
+    // Replication traffic is not session traffic.
+    if !replication {
+        if expired.remove(&conn) && !matches!(req, Request::Begin | Request::End) {
+            return Response {
+                epoch,
+                body: ResponseBody::SessionExpired,
+            };
+        }
+        if let Some(s) = sessions.get_mut(&conn) {
+            s.renewed = Instant::now();
+        }
+    }
+    let read = match req {
+        Request::Ping => {
+            return Response {
+                epoch,
+                body: ResponseBody::Pong,
             }
         }
-        Role::Replica { .. } => handle_replica_request(role, counters, promoted, conn, req),
+        Request::End => {
+            sessions.remove(&conn);
+            return Response {
+                epoch,
+                body: ResponseBody::SessionReleased,
+            };
+        }
+        // Shutdown never reaches the store service (handled at the
+        // worker); answer defensively anyway.
+        Request::Shutdown => {
+            return Response {
+                epoch,
+                body: ResponseBody::ShuttingDown,
+            }
+        }
+        Request::Query { xpath, count_only } => match natix_xpath::parse(&xpath) {
+            Ok(path) => ReadVerb::Query { path, count_only },
+            Err(e) => return bad_request(epoch, format!("xpath: {e}")),
+        },
+        Request::Dump { degraded_ok } => ReadVerb::Dump { degraded_ok },
+        other => {
+            return match role {
+                Role::Primary {
+                    shared,
+                    repl,
+                    fence,
+                } => primary_request(shared, repl, *fence, sessions, counters, conn, epoch, other),
+                Role::Replica { .. } => replica_request(role, counters, promoted, epoch, other),
+            }
+        }
+    };
+    // The read view: the replica's reader over its applied state, or on
+    // a primary the session's pinned snapshot, else a fresh one.
+    match role {
+        Role::Replica {
+            follower, reader, ..
+        } => match replica_reader(reader, follower) {
+            Ok(store) => read.answer(store, epoch),
+            Err(e) => store_error_response(epoch, &e),
+        },
+        Role::Primary { shared, .. } => match sessions.get_mut(&conn) {
+            Some(s) => {
+                let at = s.snap.epoch();
+                read.answer(s.snap.store(), at)
+            }
+            None if matches!(read, ReadVerb::Dump { degraded_ok: true }) => {
+                degraded_dump(shared, epoch)
+            }
+            None => match shared.begin_read() {
+                Ok(mut snap) => {
+                    let at = snap.epoch();
+                    read.answer(snap.store(), at)
+                }
+                Err(e) => store_error_response(epoch, &e),
+            },
+        },
     }
 }
 
-fn handle_replica_request(
+/// A read verb, parsed before any read view is opened: a malformed
+/// query never pins a snapshot or opens the replica reader.
+enum ReadVerb {
+    Query {
+        path: natix_xpath::Path,
+        count_only: bool,
+    },
+    /// `degraded_ok` lets an unpinned primary read fall back to a
+    /// damage-tolerant dump; pinned and replica dumps are always strict.
+    Dump { degraded_ok: bool },
+}
+
+impl ReadVerb {
+    /// Answer from `store`, a read-only view of committed epoch `epoch`.
+    fn answer(&self, store: &mut XmlStore, epoch: u64) -> Response {
+        let body = match self {
+            ReadVerb::Query { path, count_only } => run_query(store, path, *count_only)
+                .map(|(count, lines)| ResponseBody::QueryResult { count, lines }),
+            ReadVerb::Dump { .. } => store.to_document().map(|doc| ResponseBody::DumpResult {
+                full: true,
+                xml: doc.to_xml(),
+                damage: String::new(),
+            }),
+        };
+        match body {
+            Ok(body) => Response { epoch, body },
+            Err(e) => store_error_response(epoch, &e),
+        }
+    }
+}
+
+/// Evaluate `path`: the exact hit count plus, unless `count_only`, up to
+/// [`MAX_QUERY_LINES`] rendered hits.
+fn run_query(
+    store: &mut XmlStore,
+    path: &natix_xpath::Path,
+    count_only: bool,
+) -> Result<(u32, Vec<String>), StoreError> {
+    let hits = {
+        let mut nav = natix_xpath::StoreNavigator::new(store);
+        eval(&mut nav, path)?
+    };
+    let count = hits.len() as u32;
+    let mut lines = Vec::new();
+    if !count_only {
+        for r in hits.iter().take(MAX_QUERY_LINES) {
+            lines.push(render_hit(store, *r)?);
+        }
+    }
+    Ok((count, lines))
+}
+
+/// The primary's unpinned dump with `degraded_ok`: a shed request falls
+/// back to a damage-tolerant read instead of failing.
+fn degraded_dump(shared: &SharedStore, committed: u64) -> Response {
+    match shared.read_document() {
+        Ok(served) => {
+            let (full, damage) = match &served {
+                ServedRead::Full(_) => (true, String::new()),
+                ServedRead::Degraded(_, damage) => (false, damage.to_string()),
+            };
+            Response {
+                epoch: committed,
+                body: ResponseBody::DumpResult {
+                    full,
+                    xml: served.document().to_xml(),
+                    damage,
+                },
+            }
+        }
+        Err(e) => store_error_response(committed, &e),
+    }
+}
+
+/// The replica's own verbs: it refuses writes and pins, applies shipped
+/// batches, and can be promoted.
+fn replica_request(
     role: &mut Role,
     counters: &Counters,
     promoted: &AtomicBool,
-    conn: u64,
+    applied: u64,
     req: Request,
 ) -> Response {
     let Role::Replica {
@@ -958,77 +1075,18 @@ fn handle_replica_request(
     else {
         unreachable!("dispatched on role");
     };
-    let _ = conn;
-    let applied = follower.epoch();
-    // Writes and pins are refused the same way disk-full degradation
-    // refuses them: a typed read-only shed the client can back off on
-    // (and retry against the new primary after a failover).
-    let read_only_shed = || Response {
-        epoch: applied,
-        body: ResponseBody::RetryAfter {
-            kind: ShedKind::ReadOnly,
-            millis: READ_ONLY_RETRY_HINT_MS as u32,
-            what: "replica".to_string(),
-        },
-    };
     match req {
-        Request::Ping => Response {
+        // Writes and pins are refused the same way disk-full degradation
+        // refuses them: a typed read-only shed the client can back off on
+        // (and retry against the new primary after a failover).
+        Request::Update { .. } | Request::Begin => Response {
             epoch: applied,
-            body: ResponseBody::Pong,
+            body: ResponseBody::RetryAfter {
+                kind: ShedKind::ReadOnly,
+                millis: READ_ONLY_RETRY_HINT_MS as u32,
+                what: "replica".to_string(),
+            },
         },
-        Request::Update { .. } | Request::Begin => read_only_shed(),
-        Request::End => Response {
-            epoch: applied,
-            body: ResponseBody::SessionReleased,
-        },
-        Request::Query { xpath, count_only } => {
-            let path_q = match natix_xpath::parse(&xpath) {
-                Ok(p) => p,
-                Err(e) => return bad_request(applied, format!("xpath: {e}")),
-            };
-            let store = match replica_reader(reader, follower) {
-                Ok(s) => s,
-                Err(e) => return store_error_response(applied, &e),
-            };
-            let mut run = || -> Result<(u32, Vec<String>), StoreError> {
-                let hits = {
-                    let mut nav = natix_xpath::StoreNavigator::new(store);
-                    eval(&mut nav, &path_q)?
-                };
-                let count = hits.len() as u32;
-                let mut lines = Vec::new();
-                if !count_only {
-                    for r in hits.iter().take(MAX_QUERY_LINES) {
-                        lines.push(render_hit(store, *r)?);
-                    }
-                }
-                Ok((count, lines))
-            };
-            match run() {
-                Ok((count, lines)) => Response {
-                    epoch: applied,
-                    body: ResponseBody::QueryResult { count, lines },
-                },
-                Err(e) => store_error_response(applied, &e),
-            }
-        }
-        Request::Dump { .. } => {
-            let store = match replica_reader(reader, follower) {
-                Ok(s) => s,
-                Err(e) => return store_error_response(applied, &e),
-            };
-            match store.to_document() {
-                Ok(doc) => Response {
-                    epoch: applied,
-                    body: ResponseBody::DumpResult {
-                        full: true,
-                        xml: doc.to_xml(),
-                        damage: String::new(),
-                    },
-                },
-                Err(e) => store_error_response(applied, &e),
-            }
-        }
         Request::Stats => {
             let (batches, snapshots, tails) = follower.counters();
             let text = format!(
@@ -1115,15 +1173,7 @@ fn handle_replica_request(
                 Err(e) => store_error_response(fence_epoch, &e),
             }
         }
-        Request::ReplSubscribe { .. } | Request::ReplFetch { .. } | Request::ReplAck { .. } => {
-            bad_request(applied, "not a primary".to_string())
-        }
-        // Shutdown never reaches the store service (handled at the
-        // worker); answer defensively anyway.
-        Request::Shutdown => Response {
-            epoch: applied,
-            body: ResponseBody::ShuttingDown,
-        },
+        _ => bad_request(applied, "not a primary".to_string()),
     }
 }
 
@@ -1138,35 +1188,20 @@ fn replica_reader<'a>(
     Ok(reader.as_mut().expect("just opened"))
 }
 
+/// The primary's own verbs: pins, writes, its stats and scrub, and the
+/// replication feed for its followers.
 #[allow(clippy::too_many_arguments)]
-fn handle_primary_request(
+fn primary_request(
     shared: &SharedStore,
     repl: &mut ReplicaSource,
+    fence: Option<u64>,
     sessions: &mut HashMap<u64, Session>,
-    expired: &mut HashSet<u64>,
     counters: &Counters,
     conn: u64,
+    committed: u64,
     req: Request,
 ) -> Response {
-    let committed = shared.committed_epoch();
-    // A session the reaper expired is told so exactly once; `begin`
-    // (re-pin) and `end` (already released) proceed normally so the
-    // recovery path is never itself refused.
-    if expired.remove(&conn) && !matches!(req, Request::Begin | Request::End) {
-        return Response {
-            epoch: committed,
-            body: ResponseBody::SessionExpired,
-        };
-    }
-    // Any request on a pinned session renews its lease.
-    if let Some(s) = sessions.get_mut(&conn) {
-        s.renewed = Instant::now();
-    }
     match req {
-        Request::Ping => Response {
-            epoch: committed,
-            body: ResponseBody::Pong,
-        },
         Request::Begin => {
             // Re-pinning moves the session to the latest epoch; release
             // the old pin first so it cannot occupy an admission slot.
@@ -1191,111 +1226,6 @@ fn handle_primary_request(
                 Err(e) => store_error_response(committed, &e),
             }
         }
-        Request::End => {
-            sessions.remove(&conn);
-            Response {
-                epoch: committed,
-                body: ResponseBody::SessionReleased,
-            }
-        }
-        Request::Query { xpath, count_only } => {
-            let path = match natix_xpath::parse(&xpath) {
-                Ok(p) => p,
-                Err(e) => return bad_request(committed, format!("xpath: {e}")),
-            };
-            let run = |snap: &mut Snapshot| -> Result<(u32, Vec<String>), StoreError> {
-                let store = snap.store();
-                let hits = {
-                    let mut nav = natix_xpath::StoreNavigator::new(store);
-                    eval(&mut nav, &path)?
-                };
-                let count = hits.len() as u32;
-                let mut lines = Vec::new();
-                if !count_only {
-                    for r in hits.iter().take(MAX_QUERY_LINES) {
-                        lines.push(render_hit(store, *r)?);
-                    }
-                }
-                Ok((count, lines))
-            };
-            match sessions.get_mut(&conn) {
-                Some(s) => {
-                    let snap = &mut s.snap;
-                    let epoch = snap.epoch();
-                    match run(snap) {
-                        Ok((count, lines)) => Response {
-                            epoch,
-                            body: ResponseBody::QueryResult { count, lines },
-                        },
-                        Err(e) => store_error_response(epoch, &e),
-                    }
-                }
-                None => match shared.begin_read() {
-                    Ok(mut snap) => {
-                        let epoch = snap.epoch();
-                        match run(&mut snap) {
-                            Ok((count, lines)) => Response {
-                                epoch,
-                                body: ResponseBody::QueryResult { count, lines },
-                            },
-                            Err(e) => store_error_response(epoch, &e),
-                        }
-                    }
-                    Err(e) => store_error_response(committed, &e),
-                },
-            }
-        }
-        Request::Dump { degraded_ok } => match sessions.get_mut(&conn) {
-            Some(s) => {
-                let snap = &mut s.snap;
-                let epoch = snap.epoch();
-                match snap.document() {
-                    Ok(doc) => Response {
-                        epoch,
-                        body: ResponseBody::DumpResult {
-                            full: true,
-                            xml: doc.to_xml(),
-                            damage: String::new(),
-                        },
-                    },
-                    Err(e) => store_error_response(epoch, &e),
-                }
-            }
-            None if degraded_ok => match shared.read_document() {
-                Ok(served) => {
-                    let (full, damage) = match &served {
-                        ServedRead::Full(_) => (true, String::new()),
-                        ServedRead::Degraded(_, damage) => (false, damage.to_string()),
-                    };
-                    Response {
-                        epoch: committed,
-                        body: ResponseBody::DumpResult {
-                            full,
-                            xml: served.document().to_xml(),
-                            damage,
-                        },
-                    }
-                }
-                Err(e) => store_error_response(committed, &e),
-            },
-            None => match shared.begin_read() {
-                Ok(mut snap) => {
-                    let epoch = snap.epoch();
-                    match snap.document() {
-                        Ok(doc) => Response {
-                            epoch,
-                            body: ResponseBody::DumpResult {
-                                full: true,
-                                xml: doc.to_xml(),
-                                damage: String::new(),
-                            },
-                        },
-                        Err(e) => store_error_response(epoch, &e),
-                    }
-                }
-                Err(e) => store_error_response(committed, &e),
-            },
-        },
         Request::Update { target, op } => {
             let path = match natix_xpath::parse(&target) {
                 Ok(p) => p,
@@ -1408,19 +1338,46 @@ fn handle_primary_request(
             },
             Err(e) => store_error_response(committed, &e),
         },
-        // Shutdown never reaches the store service (handled at the
-        // worker); answer defensively anyway.
-        Request::Shutdown => Response {
-            epoch: committed,
-            body: ResponseBody::ShuttingDown,
+        Request::ReplSubscribe { last_epoch } => {
+            repl.subscribe(conn, last_epoch);
+            Response {
+                epoch: committed,
+                body: ResponseBody::ReplSubscribed,
+            }
+        }
+        Request::ReplFetch { after_epoch, seq } => match repl.fetch(committed, after_epoch, seq) {
+            Ok(part) => Response {
+                epoch: committed,
+                body: ResponseBody::ReplBatchPart {
+                    payload: part.unwrap_or_default(),
+                },
+            },
+            Err(e) => store_error_response(committed, &e),
         },
-        // Replication verbs are answered by the role dispatcher before
-        // this function is reached.
-        Request::ReplSubscribe { .. }
-        | Request::ReplFetch { .. }
-        | Request::ReplAck { .. }
-        | Request::ReplApply { .. }
-        | Request::ReplPromote => bad_request(committed, "replication verb".to_string()),
+        Request::ReplAck { epoch } => {
+            repl.ack(conn, epoch);
+            Response {
+                epoch: committed,
+                body: ResponseBody::ReplAckOk,
+            }
+        }
+        // A promoted follower answers a deposed primary's pushes
+        // with its fencing epoch; a never-promoted primary was
+        // simply addressed wrongly.
+        Request::ReplApply { .. } => match fence {
+            Some(at) => Response {
+                epoch: at,
+                body: ResponseBody::Error {
+                    kind: ErrKind::Fenced,
+                    message: format!("fenced at epoch {at}: this store was promoted"),
+                },
+            },
+            None => bad_request(committed, "not a replica".to_string()),
+        },
+        Request::ReplPromote => bad_request(committed, "already a primary".to_string()),
+        // Ping, End, Shutdown, Query and Dump are answered by
+        // `handle_request` before this function is reached.
+        _ => bad_request(committed, "not a role verb".to_string()),
     }
 }
 

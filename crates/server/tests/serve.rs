@@ -585,3 +585,79 @@ fn serve_reports_missing_store() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A caught-up replica answers reads exactly like its primary: the same
+/// count-only and rendered query bodies, the same dump, at the same epoch.
+#[test]
+fn caught_up_replica_answers_reads_like_the_primary() {
+    let dir = scratch_dir("replica-reads");
+    let primary = start(build_store(&dir), |_| {});
+    let mut p = Client::connect(primary.addr()).unwrap();
+    for name in ["alpha", "beta", "gamma"] {
+        let resp = p
+            .request(&Request::Update {
+                target: "/list".to_string(),
+                op: natix_server::UpdateOp::AppendElement {
+                    name: name.to_string(),
+                },
+            })
+            .unwrap();
+        assert_eq!(resp.body, ResponseBody::UpdateDone);
+    }
+    let resp = p
+        .request(&Request::Update {
+            target: "/list/e".to_string(),
+            op: natix_server::UpdateOp::DeleteSubtree,
+        })
+        .unwrap();
+    assert_eq!(resp.body, ResponseBody::UpdateDone);
+    let committed = p.ping().unwrap();
+
+    let replica_of = primary.addr().to_string();
+    let replica = start(dir.join("replica.natix"), |c| {
+        c.replica_of = Some(replica_of);
+    });
+    let mut r = Client::connect(replica.addr()).unwrap();
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while r.ping().unwrap() != committed {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "replica never reached epoch {committed}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+
+    let reads = [
+        Request::Query {
+            xpath: "//e".to_string(),
+            count_only: true,
+        },
+        Request::Query {
+            xpath: "/list/*".to_string(),
+            count_only: false,
+        },
+        Request::Dump { degraded_ok: false },
+    ];
+    for req in &reads {
+        let from_primary = p.request(req).unwrap();
+        let from_replica = r.request(req).unwrap();
+        assert_eq!(from_primary.epoch, committed, "{req:?}");
+        assert_eq!(from_replica, from_primary, "{req:?}");
+    }
+    // The rendered query really rendered, and the dump is non-trivial.
+    match p.request(&reads[1]).unwrap().body {
+        ResponseBody::QueryResult { count, lines } => {
+            assert_eq!(count, 5);
+            assert_eq!(lines.len(), 5);
+        }
+        other => panic!("expected a query result, got {other:?}"),
+    }
+
+    r.shutdown_server().unwrap();
+    p.shutdown_server().unwrap();
+    let summary = replica.join();
+    assert_eq!(summary.worker_panics, 0, "{summary}");
+    let summary = primary.join();
+    assert_eq!(summary.worker_panics, 0, "{summary}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -38,11 +38,11 @@ use natix_core::{PendingChild, SekmDriver};
 use natix_tree::Weight;
 use natix_xml::{node_weight, parse_sax, NodeKind, ParseOptions, SaxError, SaxHandler, XmlError};
 
-use crate::catalog::{self, Header, RecordLoc};
-use crate::page::{PageClass, SlottedPage};
-use crate::pager::{BufferPool, ChecksummingPager, Pager, StoreError, StoreResult};
+use crate::catalog::{Catalog, RecordLoc};
+use crate::page::SlottedPage;
+use crate::pager::{BufferPool, Pager, StoreError, StoreResult};
 use crate::record::{ChildEntry, ImageNode, RecordImage, NONE_U16, NONE_U32};
-use crate::store::{self, RecordPlacer, StoreConfig, XmlStore};
+use crate::store::{FreshStore, RecordPlacer, StoreConfig, XmlStore};
 
 /// Failure of a streaming load: malformed XML or a store-side error.
 #[derive(Debug)]
@@ -558,7 +558,7 @@ fn patch_backlink_in_pool(
 /// Sink building a fresh standalone store, byte-identical to
 /// [`XmlStore::bulkload`] over the same record sequence.
 struct FreshSink {
-    pool: BufferPool,
+    fresh: FreshStore,
     directory: Vec<RecordLoc>,
     labels: Vec<Box<str>>,
     label_ids: HashMap<Box<str>, u16>,
@@ -567,16 +567,8 @@ struct FreshSink {
 
 impl FreshSink {
     fn new(backend: Box<dyn Pager>, config: &StoreConfig) -> StoreResult<FreshSink> {
-        let backend: Box<dyn Pager> = Box::new(ChecksummingPager::new(backend));
-        let mut pool = BufferPool::new(backend, config.buffer_pages);
-        // No committed state yet: let eviction stream dirty pages out so
-        // the load runs in bounded memory (same as the batch path).
-        pool.set_writeback_floor(0);
-        let header_slot0 = pool.allocate()?;
-        let header_slot1 = pool.allocate()?;
-        debug_assert_eq!((header_slot0, header_slot1), (0, 1));
         Ok(FreshSink {
-            pool,
+            fresh: FreshStore::create(backend, config)?,
             directory: Vec::new(),
             labels: Vec::new(),
             label_ids: HashMap::new(),
@@ -584,41 +576,18 @@ impl FreshSink {
         })
     }
 
-    fn finish(mut self, root_record: u32, config: &StoreConfig) -> StoreResult<XmlStore> {
-        let catalog_bytes = catalog::encode_catalog(
-            &self.directory,
-            &self.labels,
-            &[],
-            root_record,
-            config.record_limit_slots,
-            1,
-        );
-        let catalog_first_page = self
-            .pool
-            .append_chunked(&catalog_bytes, PageClass::Catalog)?;
-        let header = catalog::encode_header(&Header {
-            epoch: 1,
-            root_record,
-            catalog_first_page,
-            catalog_len: catalog_bytes.len() as u64,
-            record_limit: config.record_limit_slots,
-            journal_first_page: 0,
-            journal_len: 0,
-        });
-        self.pool
-            .with_page(1, true, |buf| buf.copy_from_slice(&header))?;
-        self.pool.flush()?;
-        let floor = self.pool.page_count();
-        self.pool.set_writeback_floor(floor);
-        Ok(store::assemble_fresh(
-            self.pool,
-            self.directory,
-            self.labels,
-            self.label_ids,
-            root_record,
-            (catalog_first_page, catalog_bytes),
+    fn finish(self, root_record: u32, config: &StoreConfig) -> StoreResult<XmlStore> {
+        self.fresh.finish(
+            Catalog {
+                epoch: 1,
+                root_record,
+                record_limit: config.record_limit_slots,
+                directory: self.directory,
+                labels: self.labels,
+                quarantined: Vec::new(),
+            },
             config,
-        ))
+        )
     }
 }
 
@@ -641,13 +610,13 @@ impl RecordSink for FreshSink {
     fn emit(&mut self, no: u32, img: &RecordImage) -> StoreResult<()> {
         debug_assert_eq!(no as usize, self.directory.len());
         let bytes = crate::record::encode(img, no, 1);
-        let loc = self.placer.place(&mut self.pool, &bytes)?;
+        let loc = self.placer.place(&mut self.fresh.pool, &bytes)?;
         self.directory.push(loc);
         Ok(())
     }
 
     fn patch_backlink(&mut self, no: u32, parent: (u32, u16, u16)) -> StoreResult<()> {
-        patch_backlink_in_pool(&mut self.pool, self.directory[no as usize], parent)
+        patch_backlink_in_pool(&mut self.fresh.pool, self.directory[no as usize], parent)
     }
 }
 

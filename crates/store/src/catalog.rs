@@ -18,7 +18,7 @@
 //! frames) is still decoded for read-only access to old stores.
 
 use crate::page::{fnv64, set_page_class, PageClass, PAGE_SIZE};
-use crate::pager::{PageId, StoreError, StoreResult};
+use crate::pager::{PageId, Pager, StoreError, StoreResult};
 
 /// Magic bytes identifying a Natix store page file (format version 3:
 /// dual checksummed headers + redo journal + per-page frames).
@@ -135,6 +135,23 @@ pub(crate) fn pick_header(
             "no valid header slot: not a Natix store file",
         )),
     }
+}
+
+/// Read both header slots of `backend` raw and pick the winner: its
+/// header and the format version it announces.
+///
+/// The slots are read below any checksum verification: the ping-pong
+/// protocol relies on decoding *both* slots and falling back past a torn
+/// one, and the format decides whether page frames exist at all.
+pub(crate) fn read_header(backend: &mut dyn Pager) -> StoreResult<(Header, u8)> {
+    if backend.page_count() < 2 {
+        return Err(StoreError::corrupt("file too small for header slots"));
+    }
+    let mut slot0 = Box::new([0u8; PAGE_SIZE]);
+    let mut slot1 = Box::new([0u8; PAGE_SIZE]);
+    backend.read(0, &mut slot0)?;
+    backend.read(1, &mut slot1)?;
+    pick_header(&slot0, &slot1)
 }
 
 /// Serialize a format-3 catalog blob. The blob is self-describing

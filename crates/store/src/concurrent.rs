@@ -39,11 +39,12 @@ use std::rc::Rc;
 
 use natix_xml::Document;
 
-use crate::catalog::RecordLoc;
+use crate::catalog::{self, RecordLoc};
 use crate::fsck::{fsck, FsckReport};
 use crate::page::{set_page_class, PageClass, PAGE_SIZE, PAYLOAD_SIZE};
-use crate::pager::{BufferPool, ChecksummingPager, PageId, Pager, StoreError, StoreResult};
-use crate::store::{overflow_page_span, DamageReport, StoreConfig, XmlStore};
+use crate::pager::{PageId, Pager, StoreError, StoreResult};
+use crate::stack::PageStack;
+use crate::store::{overflow_page_span, DamageReport, OpenMode, StoreConfig, XmlStore};
 
 /// Opens fresh [`Pager`] handles over the same underlying pages, one per
 /// snapshot reader. [`crate::SharedMemPager`] implements it by cloning
@@ -494,32 +495,22 @@ impl Inner {
         let catalog_bytes = self.store.committed_catalog_bytes.clone();
         let overlay = self.store.committed_overlay.clone();
         let format = self.store.format;
-        let raw = self.factory.open_pager()?;
-        // The overlay must sit *above* the checksum layer: journal images
-        // are unsealed page payloads (sealing happens on write).
-        let checked: Box<dyn Pager> = if format >= 3 {
-            Box::new(ChecksummingPager::new(raw))
-        } else {
-            raw
-        };
-        let stacked: Box<dyn Pager> = Box::new(OverlayPager {
-            inner: checked,
-            overlay,
-        });
         let exhausted = Rc::new(Cell::new(false));
-        let limited: Box<dyn Pager> = if budget > 0 {
-            Box::new(BudgetPager {
-                inner: stacked,
-                remaining: budget,
-                budget,
-                exhausted: Rc::clone(&exhausted),
-            })
-        } else {
-            stacked
-        };
-        let pool = BufferPool::new(limited, self.config.buffer_pages);
-        let mut store =
-            XmlStore::open_snapshot(pool, &self.config, catalog_bytes, &header, format)?;
+        let mut stack = PageStack::new(format, self.config.buffer_pages).overlay(overlay);
+        if budget > 0 {
+            stack = stack.read_budget(budget, Rc::clone(&exhausted));
+        }
+        let pool = stack.build(self.factory.open_pager()?);
+        let cat = catalog::decode_catalog(&catalog_bytes, header.root_record)?;
+        let mut store = XmlStore::assemble(
+            pool,
+            cat,
+            catalog_bytes,
+            &header,
+            format,
+            OpenMode::Degraded,
+            &self.config,
+        );
         if budget > 0 {
             // A deadline-budgeted read must not spend its page budget on
             // speculation.
@@ -909,72 +900,6 @@ impl std::fmt::Debug for WriteGuard {
 impl Drop for WriteGuard {
     fn drop(&mut self) {
         self.shared.release(Release::Writer);
-    }
-}
-
-/// Read-only pager serving some pages from an in-memory overlay (the
-/// pending journal's committed page images) and the rest from `inner`.
-/// Writes are rejected: a snapshot must never touch the backend.
-struct OverlayPager {
-    inner: Box<dyn Pager>,
-    overlay: HashMap<PageId, Box<[u8; PAGE_SIZE]>>,
-}
-
-impl Pager for OverlayPager {
-    fn page_count(&self) -> u32 {
-        self.inner.page_count()
-    }
-
-    fn allocate(&mut self) -> StoreResult<PageId> {
-        Err(StoreError::InvalidUpdate("snapshot is read-only"))
-    }
-
-    fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> StoreResult<()> {
-        if let Some(p) = self.overlay.get(&id) {
-            buf.copy_from_slice(&p[..]);
-            return Ok(());
-        }
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, _id: PageId, _buf: &[u8; PAGE_SIZE]) -> StoreResult<()> {
-        Err(StoreError::InvalidUpdate("snapshot is read-only"))
-    }
-}
-
-/// Deadline budget at the pager seam: each backend page read spends one
-/// unit; at zero, reads fail with [`StoreError::Timeout`]. Deterministic
-/// by construction — no wall clocks in the read path.
-struct BudgetPager {
-    inner: Box<dyn Pager>,
-    remaining: u64,
-    budget: u64,
-    exhausted: Rc<Cell<bool>>,
-}
-
-impl Pager for BudgetPager {
-    fn page_count(&self) -> u32 {
-        self.inner.page_count()
-    }
-
-    fn allocate(&mut self) -> StoreResult<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> StoreResult<()> {
-        if self.remaining == 0 {
-            self.exhausted.set(true);
-            return Err(StoreError::Timeout {
-                what: "read",
-                budget: self.budget,
-            });
-        }
-        self.remaining -= 1;
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> StoreResult<()> {
-        self.inner.write(id, buf)
     }
 }
 

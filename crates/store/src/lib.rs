@@ -33,6 +33,7 @@ mod page;
 mod pager;
 mod record;
 mod replicate;
+mod stack;
 mod store;
 mod update;
 

@@ -42,10 +42,9 @@ use crate::catalog;
 use crate::concurrent::PagerFactory;
 use crate::journal;
 use crate::page::{fnv64, PAGE_SIZE, PAYLOAD_SIZE};
-use crate::pager::{
-    BufferPool, ChecksummingPager, FilePager, PageId, Pager, StoreError, StoreResult,
-};
-use crate::store::{StoreConfig, XmlStore};
+use crate::pager::{FilePager, PageId, Pager, StoreError, StoreResult};
+use crate::stack::{Overlay, PageStack};
+use crate::store::{OpenMode, StoreConfig, XmlStore};
 
 /// Magic prefix of one replication batch part.
 pub const REPL_PART_MAGIC: &[u8; 4] = b"NRPB";
@@ -618,73 +617,19 @@ impl Follower {
 /// Epoch of the winning header slot of the file at `path`, if it parses.
 fn read_disk_epoch(path: &Path) -> Option<u64> {
     let mut pager = FilePager::open(path).ok()?;
-    if pager.page_count() < 2 {
-        return None;
-    }
-    let mut slot0 = Box::new([0u8; PAGE_SIZE]);
-    let mut slot1 = Box::new([0u8; PAGE_SIZE]);
-    pager.read(0, &mut slot0).ok()?;
-    pager.read(1, &mut slot1).ok()?;
-    let (header, _) = catalog::pick_header(&slot0, &slot1).ok()?;
+    let (header, _) = catalog::read_header(&mut pager).ok()?;
     Some(header.epoch)
-}
-
-/// Journal-image overlay used by the replica reader (the concurrent
-/// layer has its own, fed from the writer's memory; this one is fed from
-/// the on-disk pending journal).
-struct JournalOverlayPager {
-    inner: Box<dyn Pager>,
-    overlay: HashMap<PageId, Box<[u8; PAGE_SIZE]>>,
-}
-
-impl Pager for JournalOverlayPager {
-    fn page_count(&self) -> u32 {
-        self.inner.page_count()
-    }
-
-    fn allocate(&mut self) -> StoreResult<PageId> {
-        self.inner.allocate()
-    }
-
-    fn read(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> StoreResult<()> {
-        if let Some(image) = self.overlay.get(&id) {
-            buf.copy_from_slice(&image[..]);
-            return Ok(());
-        }
-        self.inner.read(id, buf)
-    }
-
-    fn write(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> StoreResult<()> {
-        self.inner.write(id, buf)
-    }
-
-    fn sync(&mut self) -> StoreResult<()> {
-        self.inner.sync()
-    }
 }
 
 /// Build the replica's read-only store (see [`Follower::reader`]).
 fn open_replica_reader(path: &Path, config: &StoreConfig) -> StoreResult<XmlStore> {
     let mut raw = FilePager::open(path)?;
-    if raw.page_count() < 2 {
-        return Err(StoreError::corrupt("file too small for header slots"));
-    }
-    let mut slot0 = Box::new([0u8; PAGE_SIZE]);
-    let mut slot1 = Box::new([0u8; PAGE_SIZE]);
-    raw.read(0, &mut slot0)?;
-    raw.read(1, &mut slot1)?;
-    let (header, format) = catalog::pick_header(&slot0, &slot1)?;
+    let (header, format) = catalog::read_header(&mut raw)?;
     let chunk = if format >= 3 { PAYLOAD_SIZE } else { PAGE_SIZE };
     // The pending journal of the last shipped commit is read through its
-    // own checksum-verifying pool, then overlaid above the checksum layer
-    // of the serving stack (journal images are unsealed page payloads).
-    let overlay: HashMap<PageId, Box<[u8; PAGE_SIZE]>> = if header.journal_len > 0 {
-        let checked: Box<dyn Pager> = if format >= 3 {
-            Box::new(ChecksummingPager::new(Box::new(raw)))
-        } else {
-            Box::new(raw)
-        };
-        let mut pool = BufferPool::new(checked, config.buffer_pages);
+    // own checksum-verifying pool, then overlaid on the serving stack.
+    let overlay: Overlay = if header.journal_len > 0 {
+        let mut pool = PageStack::new(format, config.buffer_pages).build(Box::new(raw));
         let bytes = pool.read_chunked(
             header.journal_first_page,
             header.journal_len as usize,
@@ -692,25 +637,26 @@ fn open_replica_reader(path: &Path, config: &StoreConfig) -> StoreResult<XmlStor
         )?;
         journal::decode(&bytes)?.into_iter().collect()
     } else {
-        HashMap::new()
+        Overlay::new()
     };
-    let raw: Box<dyn Pager> = Box::new(FilePager::open(path)?);
-    let checked: Box<dyn Pager> = if format >= 3 {
-        Box::new(ChecksummingPager::new(raw))
-    } else {
-        raw
-    };
-    let stacked: Box<dyn Pager> = Box::new(JournalOverlayPager {
-        inner: checked,
-        overlay,
-    });
-    let mut pool = BufferPool::new(stacked, config.buffer_pages);
+    let mut pool = PageStack::new(format, config.buffer_pages)
+        .overlay(overlay)
+        .build(Box::new(FilePager::open(path)?));
     let catalog_bytes = pool.read_chunked(
         header.catalog_first_page,
         header.catalog_len as usize,
         chunk,
     )?;
-    XmlStore::open_snapshot(pool, config, catalog_bytes, &header, format)
+    let cat = catalog::decode_catalog(&catalog_bytes, header.root_record)?;
+    Ok(XmlStore::assemble(
+        pool,
+        cat,
+        catalog_bytes,
+        &header,
+        format,
+        OpenMode::Degraded,
+        config,
+    ))
 }
 
 #[cfg(test)]
@@ -847,6 +793,41 @@ mod tests {
         assert!(reader
             .append_child(root, natix_xml::NodeKind::Element, "x", None)
             .is_err());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn replica_reader_overlays_the_pending_journal_without_writing() {
+        let dir = scratch("overlay");
+        let primary = dir.join("primary.natix");
+        let replica = dir.join("replica.natix");
+        seed_store(&primary);
+        let (shared, mut source) = open_primary(&primary);
+        std::fs::copy(&primary, &replica).unwrap();
+        let mut follower = Follower::open(replica.clone(), StoreConfig::default());
+        // A pinned reader defers the primary's checkpoint, so the shipped
+        // header still names a redo journal the replica must overlay.
+        let pin = shared.begin_read().unwrap();
+        append_marker(&shared, "pending");
+        sync_follower(&mut source, shared.committed_epoch(), &mut follower);
+        let (header, _) = catalog::read_header(&mut FilePager::open(&replica).unwrap()).unwrap();
+        assert!(header.journal_len > 0, "checkpoint was not deferred");
+
+        let before = std::fs::read(&replica).unwrap();
+        let mut reader = follower.reader().unwrap();
+        assert_eq!(reader.open_mode(), OpenMode::Degraded);
+        assert!(reader.to_document().unwrap().to_xml().contains("pending"));
+        let root = reader.root().unwrap();
+        assert!(reader
+            .append_child(root, natix_xml::NodeKind::Element, "x", None)
+            .is_err());
+        drop(reader);
+        assert_eq!(
+            std::fs::read(&replica).unwrap(),
+            before,
+            "the replica reader wrote to its file"
+        );
+        drop(pin);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

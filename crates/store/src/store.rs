@@ -7,15 +7,16 @@ use std::rc::Rc;
 use natix_tree::{NodeId, Partitioning};
 use natix_xml::{Document, DocumentBuilder, NodeKind};
 
-use crate::catalog::{self, Header, RecordLoc};
+use crate::catalog::{self, Catalog, Header, RecordLoc};
 use crate::journal;
-use crate::page::{set_page_class, PageClass, SlottedPage, MAX_IN_PAGE, PAGE_SIZE, PAYLOAD_SIZE};
-use crate::pager::{
-    BufferPool, BufferStats, ChecksummingPager, PageId, Pager, StoreError, StoreResult,
+use crate::page::{
+    set_page_class, PageClass, SlottedPage, FORMAT_VERSION, MAX_IN_PAGE, PAGE_SIZE, PAYLOAD_SIZE,
 };
+use crate::pager::{BufferPool, BufferStats, PageId, Pager, StoreError, StoreResult};
 use crate::record::{
     self, ChildEntry, ImageNode, RecNode, RecordData, RecordImage, NONE_U16, NONE_U32,
 };
+use crate::stack::PageStack;
 
 /// How to open a store with respect to at-rest damage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -430,43 +431,80 @@ impl RecordPlacer {
     }
 }
 
-/// Assemble the in-memory [`XmlStore`] for a freshly bulkloaded backend
-/// whose epoch-1 header has just been flushed (batch and streaming
-/// loaders share this tail).
-pub(crate) fn assemble_fresh(
-    pool: BufferPool,
-    directory: Vec<RecordLoc>,
-    labels: Vec<Box<str>>,
-    label_ids: HashMap<Box<str>, u16>,
-    root_record: u32,
-    catalog: (PageId, Vec<u8>),
-    config: &StoreConfig,
-) -> XmlStore {
-    let (catalog_first_page, catalog_bytes) = catalog;
-    XmlStore {
-        pool,
-        directory,
-        labels,
-        label_ids,
-        root_record,
-        cache: RecordCache::new(config.record_cache),
-        nav: NavStats::default(),
-        last_fetched: NONE_U32,
-        record_limit: config.record_limit_slots,
-        open_page: None,
-        hot: None,
-        epoch: 1,
-        committed_catalog: (catalog_first_page, catalog_bytes.len() as u64),
-        committed_catalog_bytes: catalog_bytes,
-        format: 3,
-        mode: OpenMode::Strict,
-        quarantined: BTreeSet::new(),
-        defer_checkpoint: false,
-        pending_checkpoint: false,
-        committed_overlay: HashMap::new(),
-        last_commit_journal: (0, 0),
-        batch: None,
-        readahead_records: config.readahead_records,
+/// Label name → id lookup for a label table.
+fn label_index(labels: &[Box<str>]) -> HashMap<Box<str>, u16> {
+    labels
+        .iter()
+        .enumerate()
+        .map(|(i, l)| (l.clone(), i as u16))
+        .collect()
+}
+
+/// A store being created on a fresh backend, the one way `bulkload`,
+/// the streaming loader and `compact` write a new page file: records are
+/// placed into [`FreshStore::pool`] by the caller, and
+/// [`FreshStore::finish`] publishes them as epoch 1.
+pub(crate) struct FreshStore {
+    pub(crate) pool: BufferPool,
+}
+
+impl FreshStore {
+    /// Wrap `backend` in the current (checksummed) format and reserve
+    /// pages 0 and 1 as the two header slots.
+    pub(crate) fn create(backend: Box<dyn Pager>, config: &StoreConfig) -> StoreResult<FreshStore> {
+        let mut pool = PageStack::new(FORMAT_VERSION, config.buffer_pages).build(backend);
+        // A fresh backend has no committed state: every page is past the
+        // write-back floor, so eviction may stream dirty pages out and a
+        // load runs in bounded memory even for out-of-budget documents.
+        // (A crash mid-load leaves a headerless file either way.)
+        pool.set_writeback_floor(0);
+        let header_slot0 = pool.allocate()?;
+        let header_slot1 = pool.allocate()?;
+        debug_assert_eq!((header_slot0, header_slot1), (0, 1));
+        Ok(FreshStore { pool })
+    }
+
+    /// Initial commit: append `cat` after the data pages, publish the
+    /// epoch-1 header in slot 1 (no pre-state exists, so no journal is
+    /// needed and slot 0 stays zeroed), flush, and hand back the store.
+    pub(crate) fn finish(mut self, cat: Catalog, config: &StoreConfig) -> StoreResult<XmlStore> {
+        let catalog_bytes = catalog::encode_catalog(
+            &cat.directory,
+            &cat.labels,
+            &cat.quarantined,
+            cat.root_record,
+            cat.record_limit,
+            1,
+        );
+        let catalog_first_page = self
+            .pool
+            .append_chunked(&catalog_bytes, PageClass::Catalog)?;
+        let header = Header {
+            epoch: 1,
+            root_record: cat.root_record,
+            catalog_first_page,
+            catalog_len: catalog_bytes.len() as u64,
+            record_limit: cat.record_limit,
+            journal_first_page: 0,
+            journal_len: 0,
+        };
+        let image = catalog::encode_header(&header);
+        self.pool
+            .with_page(header.slot(), true, |buf| buf.copy_from_slice(&image))?;
+        self.pool.flush()?;
+        // Everything written so far is now the committed state: raise the
+        // floor so only future appends qualify for dirty write-back.
+        let floor = self.pool.page_count();
+        self.pool.set_writeback_floor(floor);
+        Ok(XmlStore::assemble(
+            self.pool,
+            cat,
+            catalog_bytes,
+            &header,
+            FORMAT_VERSION,
+            OpenMode::Strict,
+            config,
+        ))
     }
 }
 
@@ -610,66 +648,27 @@ impl XmlStore {
         // Place the encoded records onto pages: first fit over a small set
         // of open pages, like a record manager that keeps a free-space
         // inventory. Fragmentation is real and reported (paper Sec. 6.4).
-        // Every page write goes through the checksumming layer, which
-        // seals the typed page frame (class + FNV-64) on the way out.
-        let backend: Box<dyn Pager> = Box::new(ChecksummingPager::new(backend));
-        let mut pool = BufferPool::new(backend, config.buffer_pages);
-        // A fresh backend has no committed state: every page is past the
-        // write-back floor, so eviction may stream dirty pages out and
-        // bulkload runs in bounded memory even for out-of-budget
-        // documents. (A crash mid-load leaves a headerless file either
-        // way.)
-        pool.set_writeback_floor(0);
-        // Pages 0 and 1 are the two header slots; the catalog goes after
-        // the data pages so the store can be reopened from its page file
-        // alone.
-        let header_slot0 = pool.allocate()?;
-        let header_slot1 = pool.allocate()?;
-        debug_assert_eq!((header_slot0, header_slot1), (0, 1));
+        // The catalog goes after the data pages so the store can be
+        // reopened from its page file alone.
+        let mut fresh = FreshStore::create(backend, &config)?;
         let mut directory = Vec::with_capacity(p_count);
         let mut placer = RecordPlacer::new();
         for (no, rec) in records.iter().enumerate() {
             let bytes = record::encode(rec, no as u32, 1);
-            directory.push(placer.place(&mut pool, &bytes)?);
+            directory.push(placer.place(&mut fresh.pool, &bytes)?);
         }
-        // Persist the catalog: directory + label table across dedicated
-        // pages, located from the header page.
         let root_record = owner[tree.root().index()];
-        let catalog_bytes = catalog::encode_catalog(
-            &directory,
-            &labels,
-            &[],
-            root_record,
-            config.record_limit_slots,
-            1,
-        );
-        let catalog_first_page = pool.append_chunked(&catalog_bytes, PageClass::Catalog)?;
-        // Initial commit: no pre-state exists yet, so no journal is needed;
-        // epoch 1 lands in slot 1 and slot 0 stays invalid (zeroed).
-        let header = catalog::encode_header(&Header {
-            epoch: 1,
-            root_record,
-            catalog_first_page,
-            catalog_len: catalog_bytes.len() as u64,
-            record_limit: config.record_limit_slots,
-            journal_first_page: 0,
-            journal_len: 0,
-        });
-        pool.with_page(header_slot1, true, |buf| buf.copy_from_slice(&header))?;
-        pool.flush()?;
-        // Everything written so far is now the committed state: raise the
-        // floor so only future appends qualify for dirty write-back.
-        pool.set_writeback_floor(pool.page_count());
-
-        Ok(assemble_fresh(
-            pool,
-            directory,
-            labels,
-            label_ids,
-            root_record,
-            (catalog_first_page, catalog_bytes),
+        fresh.finish(
+            Catalog {
+                epoch: 1,
+                root_record,
+                record_limit: config.record_limit_slots,
+                directory,
+                labels,
+                quarantined: Vec::new(),
+            },
             &config,
-        ))
+        )
     }
 
     /// Number of live (non-deleted) records.
@@ -1040,13 +1039,9 @@ impl XmlStore {
         self.last_fetched = NONE_U32;
         self.open_page = None;
         let cat = catalog::decode_catalog(&self.committed_catalog_bytes, self.root_record)?;
-        let mut label_ids = HashMap::with_capacity(cat.labels.len());
-        for (i, l) in cat.labels.iter().enumerate() {
-            label_ids.insert(l.clone(), i as u16);
-        }
+        self.label_ids = label_index(&cat.labels);
         self.directory = cat.directory;
         self.labels = cat.labels;
-        self.label_ids = label_ids;
         self.quarantined = cat.quarantined.into_iter().collect();
         Ok(())
     }
@@ -1066,25 +1061,9 @@ impl XmlStore {
         config: StoreConfig,
         mode: OpenMode,
     ) -> StoreResult<XmlStore> {
-        if backend.page_count() < 2 {
-            return Err(StoreError::corrupt("file too small for header slots"));
-        }
-        // Header slots are read raw (below any checksum verification):
-        // the ping-pong protocol relies on decoding *both* slots and
-        // falling back past a torn one, and the slots also announce the
-        // format version that decides whether frames exist at all.
-        let mut slot0 = Box::new([0u8; PAGE_SIZE]);
-        let mut slot1 = Box::new([0u8; PAGE_SIZE]);
-        backend.read(0, &mut slot0)?;
-        backend.read(1, &mut slot1)?;
-        let (mut header, format) = catalog::pick_header(&slot0, &slot1)?;
-        let backend: Box<dyn Pager> = if format >= 3 {
-            Box::new(ChecksummingPager::new(backend))
-        } else {
-            backend
-        };
+        let (mut header, format) = catalog::read_header(&mut *backend)?;
         let chunk = if format >= 3 { PAYLOAD_SIZE } else { PAGE_SIZE };
-        let mut pool = BufferPool::new(backend, config.buffer_pages);
+        let mut pool = PageStack::new(format, config.buffer_pages).build(backend);
         if header.journal_len > 0 {
             let bytes = pool.read_chunked(
                 header.journal_first_page,
@@ -1105,19 +1084,44 @@ impl XmlStore {
             chunk,
         )?;
         let cat = catalog::decode_catalog(&catalog_bytes, header.root_record)?;
-        let mut label_ids = HashMap::with_capacity(cat.labels.len());
-        for (i, l) in cat.labels.iter().enumerate() {
-            label_ids.insert(l.clone(), i as u16);
-        }
         // The file now holds exactly the committed state (recovery above
         // replayed any pending journal): appends past here may be
         // written back by eviction.
         pool.set_writeback_floor(pool.page_count());
-        Ok(XmlStore {
+        Ok(XmlStore::assemble(
             pool,
+            cat,
+            catalog_bytes,
+            &header,
+            format,
+            mode,
+            &config,
+        ))
+    }
+
+    /// The in-memory store over `pool`, whose committed state is
+    /// `header` and the catalog `cat` (serialized as `catalog_bytes`).
+    /// Every way of getting an [`XmlStore`] — bulkload, open, snapshot,
+    /// replica reader, compact — ends here.
+    ///
+    /// A snapshot or replica reader passes [`OpenMode::Degraded`]:
+    /// updates are rejected (`require_writable`), strict reads still fail
+    /// loudly on corruption, and degraded reads are available for shed
+    /// requests.
+    pub(crate) fn assemble(
+        pool: BufferPool,
+        cat: Catalog,
+        catalog_bytes: Vec<u8>,
+        header: &Header,
+        format: u8,
+        mode: OpenMode,
+        config: &StoreConfig,
+    ) -> XmlStore {
+        XmlStore {
+            pool,
+            label_ids: label_index(&cat.labels),
             directory: cat.directory,
             labels: cat.labels,
-            label_ids,
             root_record: cat.root_record,
             cache: RecordCache::new(config.record_cache),
             nav: NavStats::default(),
@@ -1137,56 +1141,7 @@ impl XmlStore {
             last_commit_journal: (0, 0),
             batch: None,
             readahead_records: config.readahead_records,
-        })
-    }
-
-    /// Assemble a read-only snapshot store from an already-committed
-    /// state held in memory: the pinned header and catalog bytes come
-    /// from the writer (never re-read from the backend, whose header
-    /// slots the writer will reuse), and `pool` wraps a backend stack
-    /// that overlays the pending journal's page images. Used by
-    /// `concurrent::SharedStore`; performs no backend writes.
-    ///
-    /// The store is opened [`OpenMode::Degraded`]: updates are rejected
-    /// (`require_writable`), strict reads still fail loudly on
-    /// corruption, and degraded reads are available for shed requests.
-    pub(crate) fn open_snapshot(
-        pool: BufferPool,
-        config: &StoreConfig,
-        catalog_bytes: Vec<u8>,
-        header: &Header,
-        format: u8,
-    ) -> StoreResult<XmlStore> {
-        let cat = catalog::decode_catalog(&catalog_bytes, header.root_record)?;
-        let mut label_ids = HashMap::with_capacity(cat.labels.len());
-        for (i, l) in cat.labels.iter().enumerate() {
-            label_ids.insert(l.clone(), i as u16);
         }
-        Ok(XmlStore {
-            pool,
-            directory: cat.directory,
-            labels: cat.labels,
-            label_ids,
-            root_record: cat.root_record,
-            cache: RecordCache::new(config.record_cache),
-            nav: NavStats::default(),
-            last_fetched: NONE_U32,
-            record_limit: header.record_limit,
-            open_page: None,
-            hot: None,
-            epoch: header.epoch,
-            committed_catalog: (header.catalog_first_page, header.catalog_len),
-            committed_catalog_bytes: catalog_bytes,
-            format,
-            mode: OpenMode::Degraded,
-            quarantined: cat.quarantined.into_iter().collect(),
-            defer_checkpoint: false,
-            pending_checkpoint: false,
-            committed_overlay: HashMap::new(),
-            last_commit_journal: (0, 0),
-            batch: None,
-            readahead_records: config.readahead_records,
-        })
     }
 
     /// On-disk format version backing this store (3 current, 2 legacy).
