@@ -1,6 +1,17 @@
 //! The XPath evaluator: step-at-a-time set semantics over any
 //! [`Navigator`].
 //!
+//! [`eval`] first plans the query once (`plan.rs`): `//T` becomes a
+//! single `descendant::T` scan, in predicate paths too, and nothing is
+//! rewritten again per candidate. The planned path is then evaluated one
+//! step at a time: every context node of a step is expanded along the
+//! axis, candidates are filtered by the node test and predicates, and the
+//! step's output is sorted and deduplicated before the next step. The sort
+//! stays even where an axis could emit in order, because the navigator's
+//! node order need not be document order: a store's `NodeRef` orders by
+//! (record, local index), and record numbers stop following document order
+//! once updates run.
+//!
 //! Result node-sets are deduplicated and returned in the navigator's node
 //! ordering (document order for [`crate::MemNavigator`], whose node ids are
 //! assigned in document order by the parser and generators).
@@ -8,13 +19,19 @@
 //! Downward axes use the bulk [`Navigator::children`] primitive, which a
 //! store-backed navigator serves with one record access per child interval;
 //! kind and label arrive with each child, so node tests need no further
-//! lookups on the hot path.
+//! lookups on the hot path. The ancestor walks of one step share the set of
+//! nodes they have considered: a walk stops at the first ancestor an
+//! earlier walk of the same step already considered, because that walk
+//! went on to consider all of its ancestors too.
+
+use std::collections::HashSet;
 
 use natix_store::StoreResult;
 use natix_xml::NodeKind;
 
 use crate::ast::{Axis, Expr, NodeTest, Path, Step};
 use crate::navigator::{ChildInfo, Navigator};
+use crate::plan::plan;
 
 /// Evaluation context node: the (virtual) document root, or a real node.
 /// `Root` sorts first, matching document order.
@@ -62,7 +79,7 @@ impl ResolvedTest {
 /// Evaluate an absolute or relative path from the document root, returning
 /// the selected nodes (the virtual root itself is never returned).
 pub fn eval<N: Navigator>(nav: &mut N, path: &Path) -> StoreResult<Vec<N::Node>> {
-    let out = eval_from(nav, Ctx::Root, path)?;
+    let out = eval_from(nav, Ctx::Root, &plan(path))?;
     Ok(out
         .into_iter()
         .filter_map(|c| match c {
@@ -81,7 +98,8 @@ pub fn eval_query<N: Navigator>(
     eval(nav, &path).map_err(crate::EvalError::Store)
 }
 
-/// Evaluate a path from `origin`; the result is sorted and duplicate-free.
+/// Evaluate a planned path from `origin`; the result is sorted and
+/// duplicate-free.
 fn eval_from<N: Navigator>(
     nav: &mut N,
     origin: Ctx<N::Node>,
@@ -90,9 +108,10 @@ fn eval_from<N: Navigator>(
     let mut ctx: Vec<Ctx<N::Node>> = vec![if path.absolute { Ctx::Root } else { origin }];
     for step in &path.steps {
         let test = ResolvedTest::resolve(nav, &step.test)?;
+        let mut considered = HashSet::new();
         let mut next: Vec<Ctx<N::Node>> = Vec::new();
         for &c in &ctx {
-            expand_axis(nav, c, step, test, &mut next)?;
+            expand_axis(nav, c, step, test, &mut considered, &mut next)?;
         }
         // Set semantics once per step (cheaper than per-candidate set
         // inserts, and keeps processing in node order for store locality).
@@ -107,12 +126,14 @@ fn eval_from<N: Navigator>(
 }
 
 /// Expand one step from one context node into `out`, applying the node
-/// test and predicates.
+/// test and predicates. `considered` holds the nodes the ancestor walks of
+/// this step have considered so far, for all of its context nodes.
 fn expand_axis<N: Navigator>(
     nav: &mut N,
     ctx: Ctx<N::Node>,
     step: &Step,
     test: ResolvedTest,
+    considered: &mut HashSet<Ctx<N::Node>>,
     out: &mut Vec<Ctx<N::Node>>,
 ) -> StoreResult<()> {
     let principal = if step.axis == Axis::Attribute {
@@ -218,31 +239,24 @@ fn expand_axis<N: Navigator>(
             consider_lookup!(ctx);
         }
         Axis::Parent => {
-            if let Ctx::Node(n) = ctx {
-                match nav.parent(n)? {
-                    Some(p) => consider_lookup!(Ctx::Node(p)),
-                    None => consider_lookup!(Ctx::Root),
-                }
+            if let Some(p) = parent(nav, ctx)? {
+                consider_lookup!(p);
             }
         }
         Axis::Ancestor | Axis::AncestorOrSelf => {
-            if step.axis == Axis::AncestorOrSelf {
-                consider_lookup!(ctx);
-            }
-            if let Ctx::Node(n) = ctx {
-                let mut cur = n;
-                loop {
-                    match nav.parent(cur)? {
-                        Some(p) => {
-                            consider_lookup!(Ctx::Node(p));
-                            cur = p;
-                        }
-                        None => {
-                            consider_lookup!(Ctx::Root);
-                            break;
-                        }
-                    }
+            let mut cur = if step.axis == Axis::AncestorOrSelf {
+                Some(ctx)
+            } else {
+                parent(nav, ctx)?
+            };
+            // Stop at the first node an earlier walk of this step already
+            // considered: that walk went on to consider its ancestors too.
+            while let Some(c) = cur {
+                if !considered.insert(c) {
+                    break;
                 }
+                consider_lookup!(c);
+                cur = parent(nav, c)?;
             }
         }
         Axis::FollowingSibling | Axis::PrecedingSibling => {
@@ -271,6 +285,15 @@ fn expand_axis<N: Navigator>(
         }
     }
     Ok(())
+}
+
+/// The parent context: the virtual root above the document element, none
+/// above the virtual root.
+fn parent<N: Navigator>(nav: &mut N, c: Ctx<N::Node>) -> StoreResult<Option<Ctx<N::Node>>> {
+    Ok(match c {
+        Ctx::Root => None,
+        Ctx::Node(n) => Some(nav.parent(n)?.map_or(Ctx::Root, Ctx::Node)),
+    })
 }
 
 fn pass_predicates<N: Navigator>(nav: &mut N, ctx: Ctx<N::Node>, step: &Step) -> StoreResult<bool> {

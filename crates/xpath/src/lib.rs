@@ -28,11 +28,12 @@ mod ast;
 mod eval;
 mod navigator;
 mod parser;
+mod plan;
 pub mod xpathmark;
 
 pub use ast::{Axis, Expr, NodeTest, Path, Step};
 pub use eval::{eval, eval_query};
-pub use navigator::{MemNavigator, Navigator, StoreNavigator};
+pub use navigator::{ChildInfo, MemNavigator, Navigator, StoreNavigator};
 pub use parser::{parse, XPathError};
 
 /// Error from [`eval_query`]: parse or storage failure.

@@ -47,6 +47,9 @@ cat > "$fsck_dir/sample.xml" <<'XML'
 <library><shelf id="s1"><book><title>Tree Partitioning</title><pages>120</pages></book><book><title>Records and Pages in Depth</title><pages>240</pages></book></shelf><shelf id="s2"><book><title>Sibling Intervals</title></book></shelf></library>
 XML
 natix() { cargo run --release -q -p natix-cli -- "$@"; }
+# Background daemons run the built binary itself, not the `cargo run`
+# wrapper, so that `$!` is the daemon's pid and a kill reaches it.
+natix_bin="${CARGO_TARGET_DIR:-target}/release/natix"
 natix load "$fsck_dir/sample.xml" "$fsck_dir/sample.natix" --k 16
 natix fsck "$fsck_dir/sample.natix"
 # Bulkload under a 2-page pool streams pages out by eviction; the file
@@ -92,7 +95,7 @@ echo "==> natix serve smoke (daemon on an ephemeral port: one of each verb over 
 serve_dir="$fsck_dir/serve"
 mkdir -p "$serve_dir"
 natix load "$fsck_dir/sample.xml" "$serve_dir/store.natix" --k 16
-natix serve "$serve_dir/store.natix" --addr 127.0.0.1:0 --max-pins 4 > "$serve_dir/serve.log" &
+"$natix_bin" serve "$serve_dir/store.natix" --addr 127.0.0.1:0 --max-pins 4 > "$serve_dir/serve.log" &
 serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null; rm -rf "$fsck_dir"' EXIT
 for _ in $(seq 1 200); do
@@ -144,7 +147,7 @@ echo "==> natix serve replication smoke (primary + hot standby: update storm, la
 repl_dir="$fsck_dir/repl"
 mkdir -p "$repl_dir"
 natix load "$fsck_dir/sample.xml" "$repl_dir/primary.natix" --k 16
-natix serve "$repl_dir/primary.natix" --addr 127.0.0.1:0 > "$repl_dir/primary.log" &
+"$natix_bin" serve "$repl_dir/primary.natix" --addr 127.0.0.1:0 > "$repl_dir/primary.log" &
 primary_pid=$!
 trap 'kill -9 "$primary_pid" 2>/dev/null; rm -rf "$fsck_dir"' EXIT
 for _ in $(seq 1 200); do
@@ -153,7 +156,7 @@ for _ in $(seq 1 200); do
 done
 primary_addr="$(sed -n 's/.*listening on //p' "$repl_dir/primary.log" | head -n 1)"
 [ -n "$primary_addr" ] || { echo "FAIL: primary printed no listen banner" >&2; exit 1; }
-natix serve "$repl_dir/standby.natix" --addr 127.0.0.1:0 --replica-of "$primary_addr" \
+"$natix_bin" serve "$repl_dir/standby.natix" --addr 127.0.0.1:0 --replica-of "$primary_addr" \
   > "$repl_dir/standby.log" &
 standby_pid=$!
 trap 'kill -9 "$primary_pid" "$standby_pid" 2>/dev/null; rm -rf "$fsck_dir"' EXIT
@@ -187,6 +190,10 @@ test "$rc" -eq 3 || { echo "FAIL: standby write exited $rc, want 3 (read-only sh
 # Failover: SIGKILL the primary, promote the standby, verify it went writable.
 kill -9 "$primary_pid"
 wait "$primary_pid" 2> /dev/null || true
+# The kill reached the daemon itself: nothing answers on its address.
+if natix net "$primary_addr" ping > /dev/null 2>&1; then
+  echo "FAIL: the primary still answers after SIGKILL" >&2; exit 1
+fi
 natix net "$standby_addr" promote
 natix net "$standby_addr" fsck > /dev/null
 # The promoted store holds exactly the acked history (lag was 0 at the
