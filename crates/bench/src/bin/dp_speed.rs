@@ -15,7 +15,7 @@
 //!   ([`natix_core::baseline`]) versus the plain arena engine at one
 //!   thread (the memory-layout win),
 //! * the arena engine versus the DAG-cached engine at one thread (the
-//!   structure-sharing + dominance-pruning win; see `natix_core::dag`),
+//!   structure-sharing + dominance-pruning win; see [`CachedDhw`]),
 //!   with distinct-shape counts, dedup ratios, hit rates and pruning
 //!   counters, and
 //! * [`natix_core::ParallelDhw`] / [`ParallelGhdw`] across a thread sweep
@@ -368,7 +368,7 @@ fn main() {
     );
     println!("{}", table.render());
     println!(
-        "uncached = flat-arena engine (--no-dag-cache); cached = structure-sharing engine\n\
+        "uncached = the paper's per-node engine (Dhw/Ghdw); cached = structure-sharing engine\n\
          (hash-consed subtree DAG + dominance pruning); cache-x = uncached/cached at 1 thread.\n\
          dedup = nodes per distinct weighted subtree shape; hit = shape-cache hit rate;\n\
          pruned = interval candidates skipped by dominance pruning.\n\

@@ -11,8 +11,8 @@
 //! refactor (peak workspace bytes of the flat-arena engine versus the heap
 //! bytes the old `HashMap<s, Vec<Entry>>`-per-node layout would allocate —
 //! an undercount, see `natix_core::baseline::hashmap_bytes_estimate`) and
-//! the structure-sharing layer of `natix_core::dag`: distinct weighted
-//! subtree shapes (fingerprints), nodes-per-shape dedup ratio, shape-cache
+//! the structure-sharing engine of `natix_core::CachedDhw`: distinct
+//! weighted subtree shapes, nodes-per-shape dedup ratio, shape-cache
 //! hit rate, and the dominance-pruning counters. The cached run's output
 //! is asserted identical to the uncached run on every generator.
 
@@ -132,7 +132,7 @@ fn main() {
     println!(
         "arena KB = peak reusable workspace of the flat-arena DP; hashmap KB = estimated\n\
          heap bytes of the former per-node HashMap row layout for the same run (undercount).\n\
-         shapes = distinct weighted subtree fingerprints (minimal-DAG nodes); dedup = nodes\n\
+         shapes = distinct weighted subtree shapes (minimal-DAG nodes); dedup = nodes\n\
          per shape; hit = fraction of nodes served from the shape cache; cached cells = DP\n\
          cells the structure-sharing engine actually computed (one run per shape); pruned =\n\
          interval candidates dominance pruning removed from those runs."

@@ -2,9 +2,8 @@
 //! store.
 //!
 //! ```text
-//! natix partition <file.xml> [--alg ekm|dhw|ghdw|km|rs|dfs|bfs|lukes] [--k 256] [--threads N]
-//!                 [--stats] [--no-dag-cache]
-//! natix load      <file.xml> <store.natix> [--alg ekm] [--k 256] [--threads N] [--no-dag-cache]
+//! natix partition <file.xml> [--alg ekm|dhw|ghdw|km|rs|dfs|bfs|lukes] [--k 256] [--stats]
+//! natix load      <file.xml> <store.natix> [--alg ekm] [--k 256]
 //! natix query     <store.natix> '<xpath>' [--count]
 //! natix dump      <store.natix> [--degraded]
 //! natix stats     <store.natix>
@@ -135,16 +134,11 @@
 //! default full campaign runs ≥ 1000 interleavings. Every failure prints
 //! its interleaving seed and a one-command reproduction.
 //!
-//! `--threads N` runs the table-building algorithms (DHW, GHDW) on N worker
-//! threads; the output is identical to the sequential run. It defaults to
-//! 1 (the sequential engine, so the engine never depends on the host's
-//! core count) and is ignored by the single-pass heuristics.
-//!
-//! DHW and GHDW use the structure-sharing engine (`natix_core::dag`: one
-//! DP run per distinct weighted subtree shape, dominance-pruned rows) by
-//! default; `--no-dag-cache` is the escape hatch back to the plain
-//! per-node engine. Both produce byte-identical partitionings. `natix
-//! partition --stats` prints the cache and pruning counters so users can
+//! DHW and GHDW run on the structure-sharing engine (`CachedDhw`/
+//! `CachedGhdw`: one DP run per distinct weighted subtree shape,
+//! dominance-pruned rows), whose partitionings are byte-identical to the
+//! paper's per-node engine. `natix partition --stats` prints the counters
+//! of that same run — shape sharing, pruning, table sizes — so users can
 //! see why a document did or didn't benefit.
 
 use std::path::Path;
@@ -152,9 +146,8 @@ use std::process::ExitCode;
 
 use natix_bench::Json;
 use natix_core::{
-    dhw_cached_with_statistics, dhw_with_statistics, ghdw_cached_with_statistics,
-    ghdw_with_statistics, Bfs, CachedDhw, CachedGhdw, Dfs, Dhw, DpStats, Ekm, Ghdw, Km, Lukes,
-    ParallelDhw, ParallelGhdw, Partitioner, Rs,
+    dhw_cached_with_statistics, ghdw_cached_with_statistics, Bfs, CachedDhw, CachedGhdw, Dfs,
+    DpStats, Ekm, Km, Lukes, Partitioner, Rs,
 };
 use natix_server::{
     serve as serve_daemon, Client, ClientError, ProtoError, Request, ResponseBody, ServeConfig,
@@ -243,10 +236,8 @@ impl From<&str> for CliError {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  natix partition <file.xml> [--alg NAME] [--k SLOTS] [--threads N] \
-         [--stats] [--no-dag-cache]\n  \
-         natix load <file.xml> <store.natix> [--alg NAME] [--k SLOTS] [--threads N] \
-         [--no-dag-cache] [--pool-pages N]\n  \
+        "usage:\n  natix partition <file.xml> [--alg NAME] [--k SLOTS] [--stats]\n  \
+         natix load <file.xml> <store.natix> [--alg NAME] [--k SLOTS] [--pool-pages N]\n  \
          natix query <store.natix> '<xpath>' [--count] [--pool-pages N]\n  \
          natix dump <store.natix> [--degraded] [--pool-pages N]\n  \
          natix stats <store.natix> [--pool-pages N]\n  \
@@ -264,41 +255,24 @@ fn usage() -> ExitCode {
          fsck | update '<xpath>' <append-element|append-text|insert-before|delete> [VALUE] | \
          shed-probe [--pins N] | promote | shutdown   (all: [--retries N])\n\
          algorithms: ekm (default), dhw, ghdw, km, rs, dfs, bfs, lukes\n\
-         --threads N parallelizes dhw/ghdw (default: 1, sequential)\n\
-         --no-dag-cache disables the structure-sharing engine for dhw/ghdw\n\
          --stats prints DP cache and dominance-pruning counters (dhw/ghdw)\n\
          --pool-pages N caps the buffer pool at N 8 KB pages (default 8192)"
     );
     ExitCode::from(2)
 }
 
-/// Resolve an algorithm name. For the table-building algorithms (DHW,
-/// GHDW) `threads > 1` selects the parallel engines and `dag_cache`
-/// toggles the structure-sharing engine of `natix_core::dag` — all four
-/// combinations produce byte-identical output. The single-pass heuristics
-/// ignore both knobs.
-fn algorithm(name: &str, threads: usize, dag_cache: bool) -> Option<Box<dyn Partitioner>> {
-    Some(match (name.to_ascii_lowercase().as_str(), dag_cache) {
-        ("ekm", _) => Box::new(Ekm),
-        ("dhw", cache) if threads > 1 => Box::new(ParallelDhw {
-            threads,
-            job_target: None,
-            dag_cache: cache,
-        }),
-        ("dhw", true) => Box::new(CachedDhw),
-        ("dhw", false) => Box::new(Dhw),
-        ("ghdw", cache) if threads > 1 => Box::new(ParallelGhdw {
-            threads,
-            job_target: None,
-            dag_cache: cache,
-        }),
-        ("ghdw", true) => Box::new(CachedGhdw),
-        ("ghdw", false) => Box::new(Ghdw),
-        ("km", _) => Box::new(Km),
-        ("rs", _) => Box::new(Rs),
-        ("dfs", _) => Box::new(Dfs),
-        ("bfs", _) => Box::new(Bfs),
-        ("lukes", _) => Box::new(Lukes),
+/// Resolve an algorithm name. DHW and GHDW run on the structure-sharing
+/// engine.
+fn algorithm(name: &str) -> Option<Box<dyn Partitioner>> {
+    Some(match name.to_ascii_lowercase().as_str() {
+        "ekm" => Box::new(Ekm),
+        "dhw" => Box::new(CachedDhw),
+        "ghdw" => Box::new(CachedGhdw),
+        "km" => Box::new(Km),
+        "rs" => Box::new(Rs),
+        "dfs" => Box::new(Dfs),
+        "bfs" => Box::new(Bfs),
+        "lukes" => Box::new(Lukes),
         _ => return None,
     })
 }
@@ -307,7 +281,6 @@ struct Flags {
     alg: Box<dyn Partitioner>,
     alg_name: String,
     k: u64,
-    dag_cache: bool,
     stats: bool,
     pool_pages: Option<usize>,
 }
@@ -347,10 +320,6 @@ fn store_config(pool_pages: Option<usize>) -> StoreConfig {
 fn parse_flags(rest: &[String]) -> Result<Flags, String> {
     let mut alg_name = String::from("ekm");
     let mut k = 256;
-    // Sequential by default: the shape-cached engine is the fastest one
-    // measured, and the engine (and its label) must not depend on the host.
-    let mut threads = 1;
-    let mut dag_cache = true;
     let mut stats = false;
     let (pool_pages, rest) = extract_pool_pages(rest)?;
     let mut it = rest.iter();
@@ -358,7 +327,7 @@ fn parse_flags(rest: &[String]) -> Result<Flags, String> {
         match a.as_str() {
             "--alg" => {
                 let name = it.next().ok_or("missing value for --alg")?;
-                if algorithm(name, 1, true).is_none() {
+                if algorithm(name).is_none() {
                     return Err(format!("unknown algorithm {name}"));
                 }
                 alg_name = name.clone();
@@ -370,28 +339,16 @@ fn parse_flags(rest: &[String]) -> Result<Flags, String> {
                     .parse()
                     .map_err(|_| "--k expects a positive integer".to_string())?;
             }
-            "--threads" => {
-                threads = it
-                    .next()
-                    .ok_or("missing value for --threads")?
-                    .parse()
-                    .map_err(|_| "--threads expects a positive integer".to_string())?;
-                if threads == 0 {
-                    return Err("--threads expects a positive integer".to_string());
-                }
-            }
-            "--no-dag-cache" => dag_cache = false,
             "--stats" => stats = true,
             "--count" => {} // handled by the caller
             other => return Err(format!("unknown option {other}")),
         }
     }
-    let alg = algorithm(&alg_name, threads, dag_cache).expect("validated above");
+    let alg = algorithm(&alg_name).expect("validated above");
     Ok(Flags {
         alg,
         alg_name: alg_name.to_ascii_lowercase(),
         k,
-        dag_cache,
         stats,
         pool_pages,
     })
@@ -413,10 +370,23 @@ fn cmd_partition(args: &[String]) -> Result<(), CliError> {
     let flags = parse_flags(&args[1..])?;
     let doc = read_document(file)?;
     let tree = doc.tree();
-    let p = flags
-        .alg
-        .partition(tree, flags.k)
-        .map_err(|e| e.to_string())?;
+    // `--stats` takes the partitioning and its counters from one run of
+    // the engine `flags.alg` names.
+    let (p, dp_stats) = if flags.stats {
+        let run = match flags.alg_name.as_str() {
+            "dhw" => dhw_cached_with_statistics,
+            "ghdw" => ghdw_cached_with_statistics,
+            other => return Err(format!("--stats supports dhw/ghdw, not {other}").into()),
+        };
+        let (p, s) = run(tree, flags.k).map_err(|e| e.to_string())?;
+        (p, Some(s))
+    } else {
+        let p = flags
+            .alg
+            .partition(tree, flags.k)
+            .map_err(|e| e.to_string())?;
+        (p, None)
+    };
     let stats = validate(tree, flags.k, &p).map_err(|e| e.to_string())?;
     println!(
         "document   : {} nodes, {} slots",
@@ -431,46 +401,29 @@ fn cmd_partition(args: &[String]) -> Result<(), CliError> {
         "lower bound: {} (total weight / K)",
         tree.total_weight().div_ceil(flags.k)
     );
-    if flags.stats {
-        print_dp_stats(tree, &flags)?;
+    if let Some(s) = dp_stats {
+        print_dp_stats(&s);
     }
     Ok(())
 }
 
-/// `--stats`: run the DHW/GHDW engine once more with counters enabled and
-/// print the structure-sharing and dominance-pruning statistics.
-fn print_dp_stats(tree: &natix_tree::Tree, flags: &Flags) -> Result<(), CliError> {
-    let run = |cached: bool| -> Result<DpStats, String> {
-        let r = match (flags.alg_name.as_str(), cached) {
-            ("dhw", true) => dhw_cached_with_statistics(tree, flags.k),
-            ("dhw", false) => dhw_with_statistics(tree, flags.k),
-            ("ghdw", true) => ghdw_cached_with_statistics(tree, flags.k),
-            ("ghdw", false) => ghdw_with_statistics(tree, flags.k),
-            _ => return Err(format!("--stats supports dhw/ghdw, not {}", flags.alg_name)),
-        };
-        Ok(r.map_err(|e| e.to_string())?.1)
-    };
-    let stats = run(flags.dag_cache)?;
-    if flags.dag_cache {
-        println!(
-            "dag shapes : {} distinct of {} nodes ({:.1}x dedup)",
-            stats.dag_distinct,
-            stats.dag_nodes,
-            stats.dag_dedup_ratio()
-        );
-        println!(
-            "cache hits : {} ({:.1}% of nodes), {} cross-run",
-            stats.dag_hits,
-            stats.dag_hit_rate() * 100.0,
-            stats.dag_cross_run_hits
-        );
-        println!(
-            "pruned     : {} candidates, {} scans cut short",
-            stats.pruned_candidates, stats.pruned_scans
-        );
-    } else {
-        println!("dag shapes : (disabled via --no-dag-cache)");
-    }
+/// `--stats`: print the structure-sharing and dominance-pruning counters.
+fn print_dp_stats(stats: &DpStats) {
+    println!(
+        "dag shapes : {} distinct of {} nodes ({:.1}x dedup)",
+        stats.dag_distinct,
+        stats.dag_nodes,
+        stats.dag_dedup_ratio()
+    );
+    println!(
+        "cache hits : {} ({:.1}% of nodes)",
+        stats.dag_hits,
+        stats.dag_hit_rate() * 100.0
+    );
+    println!(
+        "pruned     : {} candidates, {} scans cut short",
+        stats.pruned_candidates, stats.pruned_scans
+    );
     println!(
         "dp tables  : {} inner nodes, {} rows (avg {:.2} s values), {} cells",
         stats.inner_nodes,
@@ -482,7 +435,6 @@ fn print_dp_stats(tree: &natix_tree::Tree, flags: &Flags) -> Result<(), CliError
         "workspace  : {} KB peak",
         stats.bytes_allocated.div_ceil(1024)
     );
-    Ok(())
 }
 
 fn cmd_load(args: &[String]) -> Result<(), CliError> {
@@ -827,6 +779,19 @@ impl Drop for ReplayBanner {
     }
 }
 
+/// The `natix soak` command line that reruns one campaign: `sweep` is its
+/// flag (empty for the default power-cut sweep).
+fn soak_rerun(sweep: &str, quick: bool, seed: Option<u64>) -> String {
+    let mut cmd = format!("natix soak{sweep}");
+    if quick {
+        cmd.push_str(" --quick");
+    }
+    if let Some(s) = seed {
+        cmd.push_str(&format!(" --seed {s}"));
+    }
+    cmd
+}
+
 /// `natix soak`: run the crash/update fuzz campaign (or replay a shrunk
 /// failure script). Progress goes to stderr, the summary to stdout; a
 /// non-zero exit means at least one shrunk failure was printed.
@@ -893,14 +858,8 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
         if let Some(s) = seed {
             cfg.seed = s;
         }
-        let mut banner = ReplayBanner::new(
-            format!(
-                "natix soak --repl{} --seed {}",
-                if quick { " --quick" } else { "" },
-                cfg.seed
-            ),
-            vec![cfg.seed],
-        );
+        let mut banner =
+            ReplayBanner::new(soak_rerun(" --repl", quick, Some(cfg.seed)), vec![cfg.seed]);
         eprintln!(
             "  repl soak: {} failover rounds, {} updates offered per round",
             cfg.rounds, cfg.updates_per_round
@@ -934,14 +893,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
             cfg.fuzz_seeds = vec![s];
         }
         let mut banner = ReplayBanner::new(
-            format!(
-                "natix soak --diskfull{}{}",
-                if quick { " --quick" } else { "" },
-                match seed {
-                    Some(s) => format!(" --seed {s}"),
-                    None => String::new(),
-                }
-            ),
+            soak_rerun(" --diskfull", quick, seed),
             cfg.fuzz_seeds.clone(),
         );
         let report = natix_testkit::run_diskfull_campaign(&cfg, |line| eprintln!("  {line}"));
@@ -975,11 +927,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
             cfg.seed = s;
         }
         let mut banner = ReplayBanner::new(
-            format!(
-                "natix soak --serve{} --seed {}",
-                if quick { " --quick" } else { "" },
-                cfg.seed
-            ),
+            soak_rerun(" --serve", quick, Some(cfg.seed)),
             vec![cfg.seed],
         );
         eprintln!(
@@ -1008,11 +956,15 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
                 "--bulkload is mutually exclusive with --corruption and --group-commit".into(),
             );
         }
+        if seed.is_some() {
+            return Err("--seed does not apply to --bulkload: its campaign is not seeded".into());
+        }
         let cfg = if quick {
             natix_testkit::BulkCampaignConfig::quick()
         } else {
             natix_testkit::BulkCampaignConfig::full()
         };
+        let mut banner = ReplayBanner::new(soak_rerun(" --bulkload", quick, None), vec![]);
         let report = natix_testkit::run_bulkload_campaign(&cfg, |line| eprintln!("  {line}"));
         for f in &report.failures {
             eprintln!("FAIL {f}");
@@ -1023,6 +975,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
             report.summary()
         );
         return if report.ok() {
+            banner.disarm();
             Ok(())
         } else {
             Err(format!("{} failure(s) printed above", report.failures.len()).into())
@@ -1040,6 +993,10 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
         if let Some(s) = seed {
             cfg.fuzz_seeds = vec![s];
         }
+        let mut banner = ReplayBanner::new(
+            soak_rerun(" --group-commit", quick, seed),
+            cfg.fuzz_seeds.clone(),
+        );
         let report = natix_testkit::run_group_commit_campaign(&cfg, |line| eprintln!("  {line}"));
         for (workload, fuzz_seed, batch, f) in &report.failures {
             eprintln!("FAIL {workload} seed={fuzz_seed} batch={batch}: {f}");
@@ -1050,6 +1007,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
             report.summary()
         );
         return if report.ok() {
+            banner.disarm();
             Ok(())
         } else {
             Err(format!("{} failure(s) printed above", report.failures.len()).into())
@@ -1064,15 +1022,7 @@ fn cmd_soak(args: &[String]) -> Result<(), CliError> {
         cfg.fuzz_seeds = vec![s];
     }
     let mut banner = ReplayBanner::new(
-        format!(
-            "natix soak{}{}{}",
-            if quick { " --quick" } else { "" },
-            if corruption { " --corruption" } else { "" },
-            match seed {
-                Some(s) => format!(" --seed {s}"),
-                None => String::new(),
-            }
-        ),
+        soak_rerun(if corruption { " --corruption" } else { "" }, quick, seed),
         cfg.fuzz_seeds.clone(),
     );
     let report = if corruption {

@@ -54,89 +54,28 @@ fn partition_reports_counts() {
 }
 
 #[test]
-fn no_dag_cache_escape_hatch_is_identical() {
+fn engine_knobs_are_unknown_options() {
     let dir = tmpdir();
     let xml = dir.join("lib.xml");
     std::fs::write(&xml, SAMPLE).unwrap();
     let path = xml.to_str().unwrap();
-    let cached = natix(&["partition", path, "--alg", "dhw", "--k", "16"]);
-    let plain = natix(&[
-        "partition",
-        path,
-        "--alg",
-        "dhw",
-        "--k",
-        "16",
-        "--no-dag-cache",
-    ]);
-    assert!(cached.status.success() && plain.status.success());
-    let cached_out = String::from_utf8_lossy(&cached.stdout).to_string();
-    let plain_out = String::from_utf8_lossy(&plain.stdout).to_string();
-    assert!(
-        plain_out.contains("algorithm  : DHW (K = 16)"),
-        "{plain_out}"
-    );
-    // Same partitioning either way: every line but the algorithm name
-    // matches.
-    let strip = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| !l.starts_with("algorithm"))
-            .map(|l| l.to_string())
-            .collect()
-    };
-    assert_eq!(strip(&cached_out), strip(&plain_out));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn thread_count_changes_only_the_engine_label() {
-    // Far above the 4096-node sequential cutoff, so `--threads 2` really
-    // runs the parallel scheduler.
-    let mut doc = String::from("<site>");
-    for g in 0..300 {
-        doc.push_str(&format!("<region id=\"r{g}\">"));
-        for i in 0..9 {
-            doc.push_str(&format!(
-                "<item cat=\"c{}\"><name>item {g} {i}</name><qty>{}</qty></item>",
-                i % 4,
-                i * 3
-            ));
+    let store = dir.join("lib.natix");
+    let store = store.to_str().unwrap();
+    for knob in [&["--threads", "2"][..], &["--no-dag-cache"][..]] {
+        let mut partition = vec!["partition", path, "--alg", "dhw"];
+        partition.extend_from_slice(knob);
+        let mut load = vec!["load", path, store, "--alg", "dhw"];
+        load.extend_from_slice(knob);
+        for args in [partition, load] {
+            let out = natix(&args);
+            assert!(!out.status.success(), "{args:?} succeeded");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert!(
+                stderr.contains(&format!("unknown option {}", knob[0])),
+                "{args:?}: {stderr}"
+            );
         }
-        doc.push_str("</region>");
     }
-    doc.push_str("</site>");
-    let dir = tmpdir();
-    let xml = dir.join("threads.xml");
-    std::fs::write(&xml, doc).unwrap();
-    let path = xml.to_str().unwrap();
-    let run = |threads: &str| {
-        let out = natix(&[
-            "partition",
-            path,
-            "--alg",
-            "dhw",
-            "--k",
-            "64",
-            "--threads",
-            threads,
-        ]);
-        assert!(
-            out.status.success(),
-            "{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        String::from_utf8_lossy(&out.stdout).to_string()
-    };
-    let (one, two) = (run("1"), run("2"));
-    assert!(one.contains("algorithm  : DHW-C (K = 64)"), "{one}");
-    assert!(two.contains("algorithm  : DHW-P (K = 64)"), "{two}");
-    let strip = |s: &str| -> Vec<String> {
-        s.lines()
-            .filter(|l| !l.starts_with("algorithm"))
-            .map(|l| l.to_string())
-            .collect()
-    };
-    assert_eq!(strip(&one), strip(&two));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -157,23 +96,6 @@ fn partition_stats_prints_cache_counters() {
     assert!(stdout.contains("distinct of"), "{stdout}");
     assert!(stdout.contains("cache hits :"), "{stdout}");
     assert!(stdout.contains("pruned     :"), "{stdout}");
-    assert!(stdout.contains("dp tables  :"), "{stdout}");
-
-    // The uncached engine reports its table counters and says why the
-    // cache columns are empty.
-    let out = natix(&[
-        "partition",
-        path,
-        "--alg",
-        "ghdw",
-        "--k",
-        "16",
-        "--stats",
-        "--no-dag-cache",
-    ]);
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("disabled via --no-dag-cache"), "{stdout}");
     assert!(stdout.contains("dp tables  :"), "{stdout}");
 
     // --stats on a single-pass heuristic is a clear error.
@@ -390,6 +312,17 @@ fn soak_corruption_quick_tier_passes() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
+}
+
+#[test]
+fn soak_bulkload_rejects_seed() {
+    // The bulkload campaign is not seeded; accepting `--seed` would print
+    // a reproduction line that reproduces nothing.
+    let out = natix(&["soak", "--bulkload", "--quick", "--seed", "3"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--seed"), "{stderr}");
+    assert!(!stderr.contains("reproduce with"), "{stderr}");
 }
 
 #[test]

@@ -31,12 +31,10 @@
 //! too large for a dense index). Entries are plain `Copy` structs whose
 //! nearly-optimal member sets are ranges of a shared `u32` pool, so the
 //! `(s, j)` recurrence and the backtracking [`NodeDp::chain`] move indices,
-//! never heap clones. The workspace is reused across nodes *and* across
-//! calls ([`dhw_partition_into`]/[`ghdw_partition_into`]), which makes
-//! repeated partitioning (k-sweeps, benchmarks, property tests) allocation
-//! free in steady state. The pre-arena `HashMap<Weight, Vec<Entry>>`
-//! implementation is retained in [`crate::baseline`] for differential tests
-//! and benchmarks.
+//! never heap clones. The workspace is reused across the nodes of a run,
+//! so the hot path is allocation free once its buffers have grown. The
+//! pre-arena `HashMap<Weight, Vec<Entry>>` implementation is retained in
+//! [`crate::baseline`] for differential tests and benchmarks.
 
 use natix_tree::{NodeId, Partitioning, SiblingInterval, Tree, Weight};
 
@@ -159,9 +157,8 @@ struct RowMeta {
 ///
 /// One workspace serves arbitrarily many nodes and calls; buffers are
 /// cleared (capacity kept) per node, so steady-state partitioning performs
-/// no heap allocation in the hot path. Create once and pass to
-/// [`dhw_partition_into`]/[`ghdw_partition_into`] for repeated runs.
-pub struct DpWorkspace {
+/// no heap allocation in the hot path.
+pub(crate) struct DpWorkspace {
     /// Flat arena of row slabs.
     entries: Vec<Entry>,
     /// Directory of materialized rows for the current node.
@@ -175,13 +172,13 @@ pub struct DpWorkspace {
     cand: Vec<(Weight, u32)>,
     /// Collapsed child summaries of the current node.
     child_stats: Vec<ChildStats>,
-    /// Per-node plans of the last sequential run (reused across calls).
+    /// Per-node plans of the last plain-engine run.
     plans: Vec<NodePlan>,
 }
 
 impl DpWorkspace {
     /// Fresh, empty workspace.
-    pub fn new() -> DpWorkspace {
+    pub(crate) fn new() -> DpWorkspace {
         DpWorkspace {
             entries: Vec::new(),
             rows: Vec::new(),
@@ -209,12 +206,6 @@ impl DpWorkspace {
             + self.nearly_pool.capacity() * std::mem::size_of::<u32>()
             + self.cand.capacity() * std::mem::size_of::<(Weight, u32)>()
             + self.child_stats.capacity() * std::mem::size_of::<ChildStats>()) as u64
-    }
-}
-
-impl Default for DpWorkspace {
-    fn default() -> Self {
-        DpWorkspace::new()
     }
 }
 
@@ -579,15 +570,12 @@ pub struct DpStats {
     /// Nodes covered by the structure-sharing engine (0 for the plain
     /// engine, which never builds a DAG).
     pub dag_nodes: u64,
-    /// Distinct weighted subtree shapes (minimal-DAG nodes / distinct
-    /// fingerprints) among `dag_nodes`.
+    /// Distinct weighted subtree shapes (minimal-DAG nodes) among
+    /// `dag_nodes`.
     pub dag_distinct: u64,
-    /// Nodes whose plan was spliced from the within-run shape cache instead
-    /// of being recomputed (`dag_nodes − dag_distinct` when the cross-run
-    /// cache starts empty).
+    /// Nodes whose plan was spliced from the shape cache instead of being
+    /// recomputed (`dag_nodes − dag_distinct`).
     pub dag_hits: u64,
-    /// Distinct shapes served by the cross-run `(fingerprint, K)` cache.
-    pub dag_cross_run_hits: u64,
     /// Interval candidates skipped by dominance pruning (their best-possible
     /// (cardinality, root-weight) was Pareto-dominated by the incumbent).
     pub pruned_candidates: u64,
@@ -660,28 +648,6 @@ fn partition_dp(tree: &Tree, k: Weight, nearly_mode: bool) -> Result<Partitionin
     let mut out = Partitioning::new();
     partition_dp_into(tree, k, nearly_mode, &mut ws, None, &mut out)?;
     Ok(out)
-}
-
-/// GHDW into caller-provided buffers: reuses the workspace's tables and the
-/// output's interval vector across calls.
-pub fn ghdw_partition_into(
-    tree: &Tree,
-    k: Weight,
-    ws: &mut DpWorkspace,
-    out: &mut Partitioning,
-) -> Result<(), PartitionError> {
-    partition_dp_into(tree, k, false, ws, None, out)
-}
-
-/// DHW into caller-provided buffers: reuses the workspace's tables and the
-/// output's interval vector across calls.
-pub fn dhw_partition_into(
-    tree: &Tree,
-    k: Weight,
-    ws: &mut DpWorkspace,
-    out: &mut Partitioning,
-) -> Result<(), PartitionError> {
-    partition_dp_into(tree, k, true, ws, None, out)
 }
 
 pub(crate) fn partition_dp_into(

@@ -35,7 +35,7 @@
 pub mod baseline;
 mod bfs;
 mod brute;
-pub mod dag;
+mod dag;
 mod dfs;
 mod dp;
 mod ekm;
@@ -48,15 +48,9 @@ mod streaming;
 
 pub use bfs::Bfs;
 pub use brute::{brute_force, BruteForce, BruteForceResult};
-pub use dag::{
-    dhw_cached_into, dhw_cached_with_statistics, ghdw_cached_into, ghdw_cached_with_statistics,
-    CachedDhw, CachedFdw, CachedGhdw, DagCache, SubtreeDag,
-};
+pub use dag::{dhw_cached_with_statistics, ghdw_cached_with_statistics, CachedDhw, CachedGhdw};
 pub use dfs::Dfs;
-pub use dp::{
-    dhw_partition_into, dhw_with_statistics, ghdw_partition_into, ghdw_with_statistics, Dhw,
-    DpStats, DpWorkspace, Ghdw,
-};
+pub use dp::{dhw_with_statistics, ghdw_with_statistics, Dhw, DpStats, Ghdw};
 pub use ekm::{BinaryView, Ekm};
 pub use fdw::Fdw;
 pub use km::Km;
@@ -157,18 +151,6 @@ pub fn check_input(tree: &Tree, k: Weight) -> Result<(), PartitionError> {
 pub fn evaluation_algorithms() -> Vec<Box<dyn Partitioner>> {
     vec![
         Box::new(Dhw),
-        Box::new(Ghdw),
-        Box::new(Ekm),
-        Box::new(Rs),
-        Box::new(Dfs),
-        Box::new(Km),
-        Box::new(Bfs),
-    ]
-}
-
-/// The approximation algorithms only (everything but the optimal DHW).
-pub fn heuristic_algorithms() -> Vec<Box<dyn Partitioner>> {
-    vec![
         Box::new(Ghdw),
         Box::new(Ekm),
         Box::new(Rs),

@@ -47,7 +47,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use natix_tree::{NodeId, Partitioning, Tree, Weight};
 
-use crate::dag::{DagCache, SubtreeDag};
+use crate::dag::SubtreeDag;
 use crate::dp::{self, ChildStats, DpWorkspace, NodePlan};
 use crate::{check_input, PartitionError, Partitioner};
 
@@ -79,11 +79,10 @@ fn partition_parallel(
     let threads = threads.max(1);
     if threads == 1 || (n < SEQUENTIAL_CUTOFF && job_target.is_none()) {
         let mut out = Partitioning::new();
+        let mut ws = DpWorkspace::new();
         if dag_cache {
-            let mut cache = DagCache::new();
-            crate::dag::partition_dag_into(tree, k, nearly_mode, &mut cache, None, &mut out)?;
+            crate::dag::partition_dag_into(tree, k, nearly_mode, &mut ws, None, &mut out)?;
         } else {
-            let mut ws = DpWorkspace::new();
             dp::partition_dp_into(tree, k, nearly_mode, &mut ws, None, &mut out)?;
         }
         return Ok(out);
@@ -390,7 +389,7 @@ pub struct ParallelDhw {
     pub job_target: Option<usize>,
     /// Compose with the structure-sharing engine (per-worker shape caches
     /// over the minimal subtree DAG; see the module docs). On by default;
-    /// `false` is the plain per-node engine (CLI `--no-dag-cache`).
+    /// `false` is the plain per-node engine.
     pub dag_cache: bool,
 }
 

@@ -8,10 +8,10 @@
 //! equality**, not merely equal cardinality.
 
 use natix_core::{
-    baseline, check_input, dhw_cached_with_statistics, CachedDhw, CachedGhdw, DagCache, Dhw, Ghdw,
+    baseline, check_input, dhw_cached_with_statistics, CachedDhw, CachedGhdw, Dhw, Ghdw,
     ParallelDhw, ParallelGhdw, Partitioner,
 };
-use natix_tree::{validate, Partitioning};
+use natix_tree::validate;
 
 const SCALE: f64 = 0.004;
 const SEED: u64 = 1337;
@@ -106,29 +106,4 @@ fn parallel_cached_matches_sequential_on_every_generator() {
             );
         }
     }
-}
-
-#[test]
-fn one_cache_across_the_whole_suite() {
-    // A single cross-run cache serving every document and several limits
-    // stays transparent (k-sweep / re-import scenario).
-    let mut cache = DagCache::new();
-    let mut out = Partitioning::new();
-    for round in 0..2 {
-        for (name, doc) in natix_datagen::evaluation_suite(SCALE, SEED) {
-            let tree = doc.tree();
-            for k in [64u64, 256] {
-                if check_input(tree, k).is_err() {
-                    continue;
-                }
-                natix_core::dhw_cached_into(tree, k, &mut cache, &mut out).unwrap();
-                let fresh = Dhw.partition(tree, k).unwrap();
-                assert_eq!(
-                    out.intervals, fresh.intervals,
-                    "round {round}: cache reuse diverged on {name} K={k}"
-                );
-            }
-        }
-    }
-    assert!(!cache.is_empty());
 }

@@ -6,11 +6,9 @@
 //! and against DHW as a lower bound.
 
 use natix_core::{
-    baseline, brute_force, check_input, dhw_cached_into, dhw_cached_with_statistics,
-    evaluation_algorithms, CachedDhw, CachedFdw, CachedGhdw, DagCache, Dhw, Fdw, Ghdw, Km,
-    ParallelDhw, ParallelGhdw, Partitioner,
+    baseline, brute_force, check_input, dhw_cached_with_statistics, evaluation_algorithms,
+    CachedDhw, CachedGhdw, Dhw, Fdw, Ghdw, Km, ParallelDhw, ParallelGhdw, Partitioner,
 };
-use natix_tree::Partitioning;
 use natix_tree::{validate, NodeId, Tree, TreeBuilder, Weight};
 use proptest::prelude::*;
 
@@ -49,6 +47,26 @@ fn medium_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
         6..=20u64,
     )
         .prop_map(|(rw, nodes, k)| (build_tree(rw, &nodes), k))
+}
+
+/// Random trees of up to ~40 nodes with only two distinct weights, so
+/// many subtrees share a weighted shape.
+fn repetitive_tree_and_limit() -> impl Strategy<Value = (Tree, Weight)> {
+    (
+        1..=2u64,
+        prop::collection::vec((any::<u32>(), 1..=2u64), 0..40),
+        2..=12u64,
+    )
+        .prop_map(|(rw, nodes, k)| (build_tree(rw, &nodes), k))
+}
+
+/// Label-free weighted subtree equality by direct recursion; child order
+/// matters.
+fn same_shape(t: &Tree, u: NodeId, v: NodeId) -> bool {
+    let (cu, cv) = (t.children(u), t.children(v));
+    t.weight(u) == t.weight(v)
+        && cu.len() == cv.len()
+        && cu.iter().zip(cv).all(|(&a, &b)| same_shape(t, a, b))
 }
 
 /// Random *flat* trees (all children are leaves).
@@ -235,40 +253,33 @@ proptest! {
         prop_assert_eq!(&cached_g.intervals, &plain_g.intervals, "GHDW tree={} K={}", tree, k);
     }
 
-    /// Cached FDW accepts exactly the flat trees FDW accepts and emits the
-    /// identical interval chain.
+    /// On flat trees the structure-sharing engine emits FDW's interval
+    /// chain: leaves dedup to one shape per weight, and the root's DP runs
+    /// over those few distinct child summaries.
     #[test]
     fn dag_cached_fdw_identical_to_fdw((tree, k) in flat_tree_and_limit()) {
         prop_assume!(check_input(&tree, k).is_ok());
         let pf = Fdw.partition(&tree, k).unwrap();
-        let pc = CachedFdw.partition(&tree, k).unwrap();
+        let pc = CachedDhw.partition(&tree, k).unwrap();
         prop_assert_eq!(&pc.intervals, &pf.intervals, "tree={} K={}", tree, k);
     }
 
-    /// Reusing one `DagCache` across many trees and limits (the cross-run
-    /// `(fingerprint, K)` plan cache) never changes any result, and its
-    /// statistics stay consistent.
+    /// The shape cache holds one plan per class of structurally equal
+    /// weighted subtrees: its distinct-shape count equals the number of
+    /// classes found by direct recursive comparison, every other node is a
+    /// hit, and the partitioning is DHW's.
     #[test]
-    fn dag_cache_reuse_is_transparent(
-        (t1, k1) in medium_tree_and_limit(),
-        (t2, k2) in medium_tree_and_limit(),
-    ) {
-        prop_assume!(check_input(&t1, k1).is_ok());
-        prop_assume!(check_input(&t2, k2).is_ok());
-        let mut cache = DagCache::new();
-        let mut out = Partitioning::new();
-        for (t, k) in [(&t1, k1), (&t2, k2), (&t1, k1), (&t1, k2), (&t2, k1)] {
-            if check_input(t, k).is_err() {
-                continue;
-            }
-            dhw_cached_into(t, k, &mut cache, &mut out).unwrap();
-            let fresh = Dhw.partition(t, k).unwrap();
-            prop_assert_eq!(&out.intervals, &fresh.intervals, "tree={} K={}", t, k);
-        }
-        let (_, stats) = dhw_cached_with_statistics(&t1, k1).unwrap();
-        prop_assert_eq!(stats.dag_nodes as usize, t1.len());
-        prop_assert!(stats.dag_distinct <= stats.dag_nodes);
+    fn dag_sharing_counts_exact_shapes((tree, k) in repetitive_tree_and_limit()) {
+        prop_assume!(check_input(&tree, k).is_ok());
+        let ids: Vec<NodeId> = tree.node_ids().collect();
+        let classes = (0..ids.len())
+            .filter(|&i| !ids[..i].iter().any(|&u| same_shape(&tree, u, ids[i])))
+            .count();
+        let (p, stats) = dhw_cached_with_statistics(&tree, k).unwrap();
+        prop_assert_eq!(stats.dag_nodes as usize, tree.len());
+        prop_assert_eq!(stats.dag_distinct as usize, classes, "tree={}", tree);
         prop_assert_eq!(stats.dag_hits, stats.dag_nodes - stats.dag_distinct);
+        prop_assert_eq!(&p.intervals, &Dhw.partition(&tree, k).unwrap().intervals);
     }
 }
 

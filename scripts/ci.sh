@@ -16,6 +16,17 @@ cargo test -q
 echo "==> dp_speed --quick (DP engine smoke: cached == uncached, sharing + pruning active)"
 cargo run --release -p natix-bench --bin dp_speed -- --quick
 
+echo "==> perfbench unit tests (the repository benchmark still builds against the library's API)"
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" cargo test --offline -q --manifest-path perfbench/Cargo.toml
+
+echo "==> perfbench partition smoke (2 s: every CLI engine label resolves and its partition counts match the library)"
+bench_result="$(CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" python3 perfbench/run.py --workload partition --seed 1 --seconds 2 --trace 0 | tail -n 1)"
+echo "$bench_result"
+case "$bench_result" in
+  *'"correct": true'*) ;;
+  *) echo "FAIL: the partition benchmark did not report \"correct\": true" >&2; exit 1 ;;
+esac
+
 echo "==> store_speed --quick (buffer pool + group commit smoke: out-of-budget dump identical, evictions active, fsck clean after eviction, one flip per batch)"
 cargo run --release -p natix-bench --bin store_speed -- --quick
 
